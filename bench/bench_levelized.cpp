@@ -27,7 +27,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/codegen/compiled.h"
 #include "src/core/sim_farm.h"
 #include "src/core/zeus.h"
 #include "src/corpus/corpus.h"
@@ -61,13 +60,8 @@ uint64_t xorshift(uint64_t& s) {
 }
 
 RunResult runScalar(const zeus::SimGraph& g, zeus::EvaluatorKind kind,
-                    const char* name, int width, uint64_t cycles,
-                    std::shared_ptr<const zeus::codegen::CompiledDesign>
-                        compiled = nullptr) {
-  zeus::Simulation::Options sopts;
-  sopts.evaluator = kind;
-  sopts.compiled = std::move(compiled);
-  zeus::Simulation sim(g, sopts);
+                    const char* name, int width, uint64_t cycles) {
+  zeus::Simulation sim(g, kind);
   const uint64_t mask =
       width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
   uint64_t rng = 0xFEED;
@@ -89,17 +83,14 @@ RunResult runScalar(const zeus::SimGraph& g, zeus::EvaluatorKind kind,
   return r;
 }
 
-RunResult runBatch(const zeus::SimGraph& g, int width, uint64_t cycles,
-                   const char* name = "levelized-batch",
-                   std::shared_ptr<const zeus::codegen::CompiledDesign>
-                       compiled = nullptr) {
+RunResult runBatch(const zeus::SimGraph& g, int width, uint64_t cycles) {
   constexpr size_t kLanes = zeus::BatchSimulation::kMaxLanes;
-  zeus::BatchSimulation sim(g, kLanes, std::move(compiled));
+  zeus::BatchSimulation sim(g, kLanes);
   const uint64_t mask =
       width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
   uint64_t rng = 0xFEED;
   RunResult r;
-  r.name = name;
+  r.name = "levelized-batch";
   r.lanes = kLanes;
   sim.setInputAll("cin", zeus::Logic::Zero);
   const uint64_t evalCycles = (cycles + kLanes - 1) / kLanes;
@@ -120,64 +111,6 @@ RunResult runBatch(const zeus::SimGraph& g, int width, uint64_t cycles,
   r.laneCycles = evalCycles * kLanes;
   r.counters = sim.metricsCounters();
   return r;
-}
-
-// ---------------------------------------------------------------------
-// Native codegen backend (src/codegen/): the same stimulus through the
-// hot-loaded compiled engine, scalar (lane 0 of the batch kernel) and
-// full 64-lane batch.  Checksums must match the interpreters exactly —
-// the tentpole claim is "faster, bit-identical".  On hosts without a
-// C++ toolchain the block records available=false and the interpreter
-// rows stand alone; the bench itself never fails for that.
-// ---------------------------------------------------------------------
-
-struct CodegenBenchResult {
-  bool available = false;
-  std::string error;      ///< why unavailable (verbatim loader error)
-  bool cachedLoad = false;  ///< artifact came from the on-disk cache
-  uint32_t optLevel = 1;
-  double emitMs = 0, compileMs = 0, loadMs = 0;
-  RunResult scalar;  ///< compiled engine, 1 live lane
-  RunResult batch;   ///< compiled engine, 64 lanes
-  bool checksumEqual = false;
-};
-
-/// Returns false only on a checksum divergence (a correctness bug); a
-/// missing toolchain is recorded in `r` and the bench carries on.
-bool runCodegenBench(const zeus::SimGraph& g, int width, uint64_t cycles,
-                     uint64_t expectedChecksum, CodegenBenchResult& r) {
-  zeus::codegen::CodegenOptions copts;
-  std::string err;
-  auto compiled = zeus::codegen::CompiledDesign::load(g, copts, err);
-  if (!compiled) {
-    r.error = err;
-    std::fprintf(stderr,
-                 "codegen unavailable (%s); skipping the compiled rows\n",
-                 err.c_str());
-    return true;
-  }
-  r.available = true;
-  r.cachedLoad = compiled->cacheHit();
-  r.optLevel = copts.optLevel;
-  r.emitMs = static_cast<double>(compiled->emitUs()) / 1000.0;
-  r.compileMs = static_cast<double>(compiled->compileUs()) / 1000.0;
-  r.loadMs = static_cast<double>(compiled->loadUs()) / 1000.0;
-  r.scalar = runScalar(g, zeus::EvaluatorKind::Compiled, "compiled", width,
-                       cycles, compiled);
-  r.batch = runBatch(g, width, cycles, "compiled-batch", compiled);
-  r.checksumEqual = r.scalar.checksum == expectedChecksum &&
-                    (r.batch.laneCycles != cycles ||
-                     r.batch.checksum == expectedChecksum);
-  if (!r.checksumEqual) {
-    std::fprintf(stderr,
-                 "codegen checksum mismatch: scalar %llx batch %llx != "
-                 "interpreter %llx\n",
-                 static_cast<unsigned long long>(r.scalar.checksum),
-                 static_cast<unsigned long long>(r.batch.checksum),
-                 static_cast<unsigned long long>(expectedChecksum));
-    return false;
-  }
-  return true;
 }
 
 /// Parallel fault simulation throughput: sweep the full stuck-at universe
@@ -305,12 +238,21 @@ bool runOptBench(int width, uint64_t cycles, OptBenchResult& r) {
 
 // ---------------------------------------------------------------------
 // Multi-core farm scaling: the same design at 1/2/4 worker threads over
-// 4 blocks × 64 lanes.  The farm's determinism contract means every row
-// (and the scalar oracle) must produce the same merged checksum — the
-// thread sweep is also a differential test.  Scaling itself is only
-// meaningful when the host has the cores; BENCH_sim.json records
+// 4 blocks × 64 lanes, against one 64-lane BatchSimulation running the
+// same lane-cycle volume.  The farm's determinism contract means every
+// row (and the scalar oracle) must produce the same merged checksum — the
+// thread sweep is also a differential test.
+//
+// The sweep is sized by time, not by --cycles: cycles per lane grow until
+// every thread row lasts at least kFarmRowMinSeconds, so the rows time
+// simulation rather than thread start-up.  Three sweeps run and the one
+// with the median farm-vs-batch64 speedup is reported.  Scaling itself is
+// only meaningful when the host has the cores; BENCH_sim.json records
 // host_cores so the checker can gate the speedup assertion on it.
 // ---------------------------------------------------------------------
+
+constexpr double kFarmRowMinSeconds = 0.2;
+constexpr int kFarmSweeps = 3;
 
 struct FarmThreadRun {
   size_t threads = 0;
@@ -319,54 +261,113 @@ struct FarmThreadRun {
   uint64_t checksum = 0;
 };
 
+struct FarmSweep {
+  std::vector<FarmThreadRun> runs;  ///< threads = 1, 2, 4
+  double batch64LaneCyclesPerSec = 0;
+  /// Per-block wall times over the sweep's three thread rows.
+  zeus::histogram::Histogram blockUs;
+
+  [[nodiscard]] double minRowSeconds() const {
+    double m = 1e99;
+    for (const FarmThreadRun& run : runs) m = std::min(m, run.seconds);
+    return m;
+  }
+  [[nodiscard]] double speedupVsBatch64() const {
+    return batch64LaneCyclesPerSec > 0 && !runs.empty()
+               ? runs.back().laneCyclesPerSec / batch64LaneCyclesPerSec
+               : 0;
+  }
+};
+
 struct FarmBenchResult {
   size_t lanes = 0;
   size_t lanesPerBlock = 0;
   size_t blocks = 0;
   uint64_t cyclesPerLane = 0;
   unsigned hostCores = 0;
-  std::vector<FarmThreadRun> runs;  ///< threads = 1, 2, 4
+  FarmSweep median;                     ///< the reported sweep
+  std::vector<double> sweepSpeedups;    ///< speedup_vs_batch64, run order
   uint64_t oracleChecksum = 0;
-  /// Per-block wall times merged over the whole thread sweep, for the
-  /// BENCH_sim.json latency block.
-  zeus::histogram::Histogram blockUs;
 
   [[nodiscard]] double speedup4v1() const {
+    const std::vector<FarmThreadRun>& runs = median.runs;
     return !runs.empty() && runs.front().laneCyclesPerSec > 0
                ? runs.back().laneCyclesPerSec / runs.front().laneCyclesPerSec
                : 0;
   }
 };
 
-bool runFarmBench(const zeus::SimGraph& g, uint64_t totalCycles,
-                  FarmBenchResult& r) {
-  r.lanes = 4 * zeus::BatchSimulation::kMaxLanes;
-  r.lanesPerBlock = zeus::BatchSimulation::kMaxLanes;
-  r.blocks = 4;
-  // Same lane-cycle volume as the 64-lane batch row, spread over 4 blocks.
-  r.cyclesPerLane = std::max<uint64_t>(1, totalCycles / r.lanes);
-  r.hostCores = std::thread::hardware_concurrency();
-  zeus::FarmOptions opts;
-  opts.lanes = r.lanes;
-  opts.cycles = r.cyclesPerLane;
+FarmSweep runFarmSweep(const zeus::SimGraph& g, int width,
+                       zeus::FarmOptions opts) {
+  FarmSweep s;
+  s.batch64LaneCyclesPerSec =
+      runBatch(g, width, opts.lanes * opts.cycles).cyclesPerSec();
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
     opts.threads = threads;
     zeus::FarmReport rep = zeus::runFarm(g, opts);
-    r.runs.push_back({threads, rep.seconds, rep.laneCyclesPerSec(),
+    s.runs.push_back({threads, rep.seconds, rep.laneCyclesPerSec(),
                       rep.mergedChecksum()});
-    r.blockUs.merge(rep.blockUs);
+    s.blockUs.merge(rep.blockUs);
   }
+  return s;
+}
+
+bool runFarmBench(const zeus::SimGraph& g, int width, FarmBenchResult& r) {
+  r.lanes = 4 * zeus::BatchSimulation::kMaxLanes;
+  r.lanesPerBlock = zeus::BatchSimulation::kMaxLanes;
+  r.blocks = 4;
+  r.hostCores = std::thread::hardware_concurrency();
+  zeus::FarmOptions opts;
+  opts.lanes = r.lanes;
+  // Size on the fastest row (4 threads) with headroom, then re-size any
+  // sweep whose shortest row still came in under the floor.
+  auto grow = [&opts](double seconds) {
+    const double want = 1.5 * kFarmRowMinSeconds;
+    const double factor = seconds > 0 ? want / seconds : 64;
+    opts.cycles = std::max<uint64_t>(
+        opts.cycles + 1,
+        static_cast<uint64_t>(static_cast<double>(opts.cycles) *
+                              std::min(factor, 64.0)));
+  };
+  opts.cycles = 1;
+  opts.threads = 4;
+  for (double sec = 0; sec < kFarmRowMinSeconds;) {
+    sec = zeus::runFarm(g, opts).seconds;
+    if (sec < kFarmRowMinSeconds) grow(sec);
+  }
+  std::vector<FarmSweep> sweeps;
+  while (sweeps.size() < kFarmSweeps) {
+    FarmSweep s = runFarmSweep(g, width, opts);
+    if (s.minRowSeconds() < kFarmRowMinSeconds) {
+      grow(s.minRowSeconds());
+      sweeps.clear();  // every reported sweep shares one cycle count
+      continue;
+    }
+    sweeps.push_back(std::move(s));
+  }
+  r.cyclesPerLane = opts.cycles;
+  for (const FarmSweep& s : sweeps) {
+    r.sweepSpeedups.push_back(s.speedupVsBatch64());
+  }
+  std::sort(sweeps.begin(), sweeps.end(),
+            [](const FarmSweep& a, const FarmSweep& b) {
+              return a.speedupVsBatch64() < b.speedupVsBatch64();
+            });
+  r.median = sweeps[sweeps.size() / 2];
+
   zeus::FarmReport oracle = zeus::runFarmScalarOracle(g, opts);
   r.oracleChecksum = oracle.mergedChecksum();
-  for (const FarmThreadRun& run : r.runs) {
-    if (run.checksum != r.oracleChecksum) {
-      std::fprintf(stderr,
-                   "farm checksum mismatch at %zu thread(s): %llx != "
-                   "oracle %llx\n",
-                   run.threads,
-                   static_cast<unsigned long long>(run.checksum),
-                   static_cast<unsigned long long>(r.oracleChecksum));
-      return false;
+  for (const FarmSweep& s : sweeps) {
+    for (const FarmThreadRun& run : s.runs) {
+      if (run.checksum != r.oracleChecksum) {
+        std::fprintf(stderr,
+                     "farm checksum mismatch at %zu thread(s): %llx != "
+                     "oracle %llx\n",
+                     run.threads,
+                     static_cast<unsigned long long>(run.checksum),
+                     static_cast<unsigned long long>(r.oracleChecksum));
+        return false;
+      }
     }
   }
   return true;
@@ -392,26 +393,10 @@ CampaignResult runCampaign(const zeus::SimGraph& g, uint64_t cycles) {
   return r;
 }
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 void emitJson(const std::string& path, int width, uint64_t cycles,
               const std::vector<RunResult>& runs,
               const CampaignResult& campaign, const OptBenchResult& opt,
-              const FarmBenchResult& farm, const CodegenBenchResult& cg,
-              double farmVsBatch, double speedupBatch,
+              const FarmBenchResult& farm, double speedupBatch,
               double speedupLevelized) {
   std::ofstream out(path);
   out << "{\n"
@@ -467,59 +452,32 @@ void emitJson(const std::string& path, int width, uint64_t cycles,
       << ", \"cycles_per_lane\": " << farm.cyclesPerLane
       << ", \"host_cores\": " << farm.hostCores << ",\n"
       << "    \"threads\": [\n";
-  for (size_t i = 0; i < farm.runs.size(); ++i) {
-    const FarmThreadRun& t = farm.runs[i];
+  const std::vector<FarmThreadRun>& rows = farm.median.runs;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const FarmThreadRun& t = rows[i];
     out << "      {\"threads\": " << t.threads
         << ", \"seconds\": " << t.seconds
         << ", \"lane_cycles_per_sec\": " << t.laneCyclesPerSec
         << ", \"checksum\": " << t.checksum << "}"
-        << (i + 1 < farm.runs.size() ? "," : "") << "\n";
+        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   std::vector<zeus::histogram::Snapshot> latency;
   latency.push_back(
-      zeus::histogram::snapshot(farm.blockUs, "farm.block_us", "us"));
+      zeus::histogram::snapshot(farm.median.blockUs, "farm.block_us", "us"));
   out << "    ],\n"
+      << "    \"batch64_lane_cycles_per_sec\": "
+      << farm.median.batch64LaneCyclesPerSec << ",\n"
       << "    \"oracle_checksum\": " << farm.oracleChecksum << ",\n"
       << "    \"speedup_4_vs_1\": " << farm.speedup4v1() << ",\n"
-      << "    \"speedup_vs_batch64\": " << farmVsBatch << "\n"
+      << "    \"speedup_vs_batch64\": " << farm.median.speedupVsBatch64()
+      << ",\n"
+      << "    \"speedup_vs_batch64_sweeps\": [";
+  for (size_t i = 0; i < farm.sweepSpeedups.size(); ++i) {
+    out << (i ? ", " : "") << farm.sweepSpeedups[i];
+  }
+  out << "]\n"
       << "  },\n";
-  const double levelizedCps = runs.size() > 2 ? runs[2].cyclesPerSec() : 0;
-  const double batchCps = runs.size() > 3 ? runs[3].cyclesPerSec() : 0;
-  out << "  \"codegen\": {\n"
-      << "    \"available\": " << (cg.available ? "true" : "false") << ",\n"
-      << "    \"error\": \"" << jsonEscape(cg.error) << "\",\n"
-      << "    \"opt_level\": " << cg.optLevel
-      << ", \"cached_load\": " << (cg.cachedLoad ? "true" : "false")
-      << ",\n"
-      << "    \"emit_ms\": " << cg.emitMs
-      << ", \"compile_ms\": " << cg.compileMs
-      << ", \"load_ms\": " << cg.loadMs << ",\n"
-      << "    \"scalar\": {\"name\": \"" << cg.scalar.name
-      << "\", \"lanes\": " << cg.scalar.lanes
-      << ", \"lane_cycles\": " << cg.scalar.laneCycles
-      << ", \"seconds\": " << cg.scalar.seconds
-      << ", \"cycles_per_sec\": " << cg.scalar.cyclesPerSec()
-      << ", \"checksum\": " << cg.scalar.checksum << ",\n     \"metrics\": "
-      << zeus::metrics::simCountersJson(cg.scalar.counters) << "},\n"
-      << "    \"batch\": {\"name\": \"" << cg.batch.name
-      << "\", \"lanes\": " << cg.batch.lanes
-      << ", \"lane_cycles\": " << cg.batch.laneCycles
-      << ", \"seconds\": " << cg.batch.seconds
-      << ", \"cycles_per_sec\": " << cg.batch.cyclesPerSec()
-      << ", \"checksum\": " << cg.batch.checksum << ",\n     \"metrics\": "
-      << zeus::metrics::simCountersJson(cg.batch.counters) << "},\n"
-      << "    \"checksum_equal\": " << (cg.checksumEqual ? "true" : "false")
-      << ",\n"
-      << "    \"speedup_scalar_vs_levelized\": "
-      << (levelizedCps > 0 ? cg.scalar.cyclesPerSec() / levelizedCps : 0)
-      << ",\n"
-      << "    \"speedup_vs_levelized\": "
-      << (levelizedCps > 0 ? cg.batch.cyclesPerSec() / levelizedCps : 0)
-      << ",\n"
-      << "    \"speedup_vs_batch64\": "
-      << (batchCps > 0 ? cg.batch.cyclesPerSec() / batchCps : 0) << "\n"
-      << "  },\n"
-      << "  \"latency\": "
+  out << "  \"latency\": "
       << zeus::histogram::renderLatencyBlock(latency, "  ") << ",\n"
       << "  \"speedup_levelized_vs_firing\": " << speedupLevelized << ",\n"
       << "  \"speedup_batch_vs_firing\": " << speedupBatch << "\n"
@@ -676,11 +634,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The native codegen backend against the same stimulus; bit-identical
-  // checksums are a hard requirement, a missing toolchain is not.
-  CodegenBenchResult cg;
-  if (!runCodegenBench(g, width, cycles, runs[0].checksum, cg)) return 1;
-
   // Fault-campaign throughput on the same design: 16 stimulus cycles per
   // fault keeps the smoke run fast while exercising full batches.
   CampaignResult campaign = runCampaign(g, /*cycles=*/16);
@@ -690,23 +643,18 @@ int main(int argc, char** argv) {
   OptBenchResult opt;
   if (!runOptBench(width, cycles, opt)) return 1;
 
-  // Farm scaling sweep (1/2/4 threads, 4 blocks × 64 lanes) plus the
-  // scalar-oracle checksum cross-check.
+  // Farm scaling sweeps (1/2/4 threads, 4 blocks × 64 lanes, sized by
+  // time) plus the scalar-oracle checksum cross-check.
   FarmBenchResult farm;
-  if (!runFarmBench(g, cycles, farm)) return 1;
+  if (!runFarmBench(g, width, farm)) return 1;
 
   const double firing = runs[1].cyclesPerSec();
   const double speedupLevelized =
       firing > 0 ? runs[2].cyclesPerSec() / firing : 0;
   const double speedupBatch =
       firing > 0 ? runs[3].cyclesPerSec() / firing : 0;
-  const double batch64 = runs[3].cyclesPerSec();
-  const double farmVsBatch =
-      batch64 > 0 && !farm.runs.empty()
-          ? farm.runs.back().laneCyclesPerSec / batch64
-          : 0;
-  emitJson(outPath, width, cycles, runs, campaign, opt, farm, cg,
-           farmVsBatch, speedupBatch, speedupLevelized);
+  emitJson(outPath, width, cycles, runs, campaign, opt, farm, speedupBatch,
+           speedupLevelized);
 
   for (const RunResult& r : runs) {
     std::printf("%-18s %12.0f cycles/s  (%llu lane-cycles in %.3fs)\n",
@@ -715,30 +663,19 @@ int main(int argc, char** argv) {
   }
   std::printf("levelized vs firing: %.2fx\n", speedupLevelized);
   std::printf("batch-64  vs firing: %.2fx\n", speedupBatch);
-  if (cg.available) {
-    const double lvl = runs[2].cyclesPerSec();
-    std::printf("%-18s %12.0f cycles/s  (%llu lane-cycles in %.3fs)\n",
-                cg.scalar.name.c_str(), cg.scalar.cyclesPerSec(),
-                static_cast<unsigned long long>(cg.scalar.laneCycles),
-                cg.scalar.seconds);
-    std::printf("%-18s %12.0f cycles/s  (%llu lane-cycles in %.3fs)\n",
-                cg.batch.name.c_str(), cg.batch.cyclesPerSec(),
-                static_cast<unsigned long long>(cg.batch.laneCycles),
-                cg.batch.seconds);
-    std::printf("compiled  vs levelized: %.2fx scalar, %.2fx batch "
-                "(emit %.1fms, compile %.1fms, load %.1fms%s)\n",
-                lvl > 0 ? cg.scalar.cyclesPerSec() / lvl : 0,
-                lvl > 0 ? cg.batch.cyclesPerSec() / lvl : 0, cg.emitMs,
-                cg.compileMs, cg.loadMs,
-                cg.cachedLoad ? ", cached" : "");
-  }
-  for (const FarmThreadRun& t : farm.runs) {
-    std::printf("farm %zut            %12.0f lane-cycles/s  (%zu lanes in "
-                "%.3fs)\n",
-                t.threads, t.laneCyclesPerSec, farm.lanes, t.seconds);
+  for (const FarmThreadRun& t : farm.median.runs) {
+    std::printf("farm %zut            %12.0f lane-cycles/s  (%zu lanes x "
+                "%llu cycles in %.3fs)\n",
+                t.threads, t.laneCyclesPerSec, farm.lanes,
+                static_cast<unsigned long long>(farm.cyclesPerLane),
+                t.seconds);
   }
   std::printf("farm 4t vs 1t:       %.2fx (%u host cores)\n",
               farm.speedup4v1(), farm.hostCores);
+  std::printf("farm 4t vs batch64:  %.2fx (median of",
+              farm.median.speedupVsBatch64());
+  for (double sp : farm.sweepSpeedups) std::printf(" %.2fx", sp);
+  std::printf(")\n");
   std::printf(
       "fault campaign     %12.0f faults/s  (%llu faults, %.0f%% lanes "
       "used, %.1f%% coverage)\n",

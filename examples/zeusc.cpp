@@ -13,18 +13,6 @@
 //   --sim <cycles>       simulate N cycles (inputs all 0) and print ports
 //   --naive              use the naive fixpoint evaluator
 //   --levelized          use the statically scheduled levelized evaluator
-//   --compiled           use the native codegen backend: emit C++ for the
-//                        design, compile it with the host toolchain and
-//                        hot-load it (docs/codegen.md).  Falls back to the
-//                        levelized interpreter — with a notice on stderr —
-//                        when no toolchain is available or codegen fails.
-//                        Applies to --sim, --script, --farm-threads and
-//                        (as the default engine) --serve-batch.
-//   --emit-cpp <file>    write the generated C++ for the design and
-//                        continue; needs no host toolchain
-//   --codegen-cache-dir <dir>  compiled-artifact cache directory
-//                        (default: $ZEUS_CODEGEN_CACHE_DIR, else the
-//                        system temp dir)
 //   --stats              print the phase/counter/activity summary table
 //   --trace <file>       write phase spans as Chrome trace_event JSON
 //                        (load in Perfetto / chrome://tracing)
@@ -90,8 +78,6 @@
 #include <string>
 
 #include "src/ast/printer.h"
-#include "src/codegen/compiled.h"
-#include "src/codegen/emit.h"
 #include "src/core/zeus.h"
 #include "src/corpus/corpus.h"
 #include "src/core/batch_serve.h"
@@ -111,8 +97,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: zeusc <file.zeus> --top <signal> [--dump-ast] "
                "[--dump-netlist] [--layout] [--svg out.svg] [--sim N] "
-               "[--naive] [--levelized] [--compiled] [--emit-cpp out.cpp] "
-               "[--codegen-cache-dir dir] "
+               "[--naive] [--levelized] "
                "[--stats] [--lint] [--lint-json] "
                "[--lint-depth N] [--lint-fanout N] [-O0|-O1] [--opt-stats] "
                "[--trace out.json] "
@@ -179,8 +164,7 @@ bool writeFile(const std::string& path, const std::string& text) {
 int main(int argc, char** argv) {
   std::string file, top, example, svgOut;
   bool dumpAst = false, dumpNetlist = false, layout = false, naive = false;
-  bool levelized = false, compiled = false, stats = false, report = false;
-  std::string emitCppOut, codegenCacheDir;
+  bool levelized = false, stats = false, report = false;
   bool lint = false, lintJson = false;
   int optLevel = 1;
   bool optStats = false;
@@ -252,16 +236,6 @@ int main(int argc, char** argv) {
       naive = true;
     } else if (arg == "--levelized") {
       levelized = true;
-    } else if (arg == "--compiled") {
-      compiled = true;
-    } else if (arg == "--emit-cpp") {
-      const char* v = next();
-      if (!v) return usage();
-      emitCppOut = v;
-    } else if (arg == "--codegen-cache-dir") {
-      const char* v = next();
-      if (!v) return usage();
-      codegenCacheDir = v;
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg == "--report") {
@@ -369,10 +343,9 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if ((naive && levelized) || (naive && compiled) || (levelized && compiled)) {
+  if (naive && levelized) {
     std::fprintf(stderr,
-                 "zeusc: choose at most one of --naive, --levelized, "
-                 "--compiled\n");
+                 "zeusc: choose at most one of --naive, --levelized\n");
     return 2;
   }
 
@@ -405,8 +378,6 @@ int main(int argc, char** argv) {
     if (simCycles >= 0) sopts.defaultCycles = static_cast<uint64_t>(simCycles);
     if (farmSeed >= 0) sopts.defaultSeed = static_cast<uint64_t>(farmSeed);
     sopts.defaultOptLevel = optLevel;
-    sopts.defaultCompiled = compiled;
-    sopts.codegenCacheDir = codegenCacheDir;
     zeus::ServeStats sstats;
     std::string response = zeus::runServeBatch(ss.str(), sopts, &sstats);
     if (!serveOutFile.empty()) {
@@ -565,27 +536,6 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", dotOut.c_str());
   }
 
-  // Standalone codegen dump (docs/codegen.md): emit the exact translation
-  // unit the compiled engine would build, without needing a toolchain.
-  if (!emitCppOut.empty()) {
-    zeus::SimGraph graph = zeus::buildSimGraph(*design, comp->diags());
-    if (graph.hasCycle) {
-      std::fprintf(stderr, "%s", comp->diagnosticsText().c_str());
-      return fail(1);
-    }
-    zeus::codegen::EmitOptions eopts;
-    eopts.optLevel = static_cast<uint32_t>(optLevel);
-    zeus::codegen::EmitResult er =
-        zeus::codegen::emitCompiledCpp(graph, eopts);
-    if (!er.ok) {
-      std::fprintf(stderr, "zeusc: --emit-cpp failed: %s\n",
-                   er.error.c_str());
-      return fail(1);
-    }
-    if (!writeFile(emitCppOut, er.source)) return fail(1);
-    std::printf("wrote %s\n", emitCppOut.c_str());
-  }
-
   if (layout || !svgOut.empty()) {
     zeus::LayoutResult lr = zeus::solveLayout(*design, comp->diags());
     std::printf("layout: %lldx%lld cells, %zu leaf cells\n",
@@ -602,28 +552,8 @@ int main(int argc, char** argv) {
   const zeus::EvaluatorKind evalKind =
       naive        ? zeus::EvaluatorKind::Naive
       : levelized  ? zeus::EvaluatorKind::Levelized
-      : compiled   ? zeus::EvaluatorKind::Compiled
                    : zeus::EvaluatorKind::Firing;
   const bool wantActivity = stats || !metricsOut.empty();
-  // Emits + compiles + hot-loads the design's native engine; on any
-  // failure (no toolchain, emitter refusal, compile error) returns null
-  // after printing the fallback notice — callers then run the levelized
-  // interpreter, which computes identical results.
-  auto loadCompiled = [&](const zeus::SimGraph& graph)
-      -> std::shared_ptr<const zeus::codegen::CompiledDesign> {
-    zeus::codegen::CodegenOptions copts;
-    copts.cacheDir = codegenCacheDir;
-    copts.optLevel = static_cast<uint32_t>(optLevel);
-    std::string err;
-    auto d = zeus::codegen::CompiledDesign::load(graph, copts, err);
-    if (!d) {
-      std::fprintf(stderr,
-                   "zeusc: codegen unavailable (%s); falling back to the "
-                   "levelized interpreter\n",
-                   err.c_str());
-    }
-    return d;
-  };
 
   if (!scriptFile.empty()) {
     std::ifstream in(scriptFile);
@@ -638,7 +568,6 @@ int main(int argc, char** argv) {
     zeus::Simulation::Options sopts;
     sopts.evaluator = evalKind;
     sopts.profileActivity = wantActivity;
-    if (compiled) sopts.compiled = loadCompiled(graph);
     zeus::Simulation sim(graph, sopts);
     zeus::ScriptResult sr = zeus::runScript(sim, ss.str());
     comp->recordSimulation(sim);
@@ -766,7 +695,6 @@ int main(int argc, char** argv) {
     if (farmLanes > 0) fopts.lanes = static_cast<size_t>(farmLanes);
     fopts.cycles = static_cast<uint64_t>(simCycles);
     if (farmSeed >= 0) fopts.seed = static_cast<uint64_t>(farmSeed);
-    if (compiled) fopts.compiled = loadCompiled(graph);
     zeus::FarmSnapshot resume;
     bool haveResume = false;
     if (!resumeFile.empty()) {
@@ -835,7 +763,6 @@ int main(int argc, char** argv) {
     zeus::Simulation::Options sopts;
     sopts.evaluator = evalKind;
     sopts.profileActivity = wantActivity;
-    if (compiled) sopts.compiled = loadCompiled(graph);
     if (simBudgetMs >= 0) sopts.maxSimMillis = static_cast<uint64_t>(simBudgetMs);
     if (simWatchdog >= 0) {
       sopts.maxEventsPerCycle = static_cast<uint64_t>(simWatchdog);

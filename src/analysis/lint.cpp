@@ -1,11 +1,11 @@
 #include "src/analysis/lint.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 
 #include "src/core/report.h"
 #include "src/sim/value.h"
+#include "src/support/metrics.h"
 #include "src/transform/fold_oracle.h"
 
 namespace zeus {
@@ -24,29 +24,6 @@ const char* severityName(Severity s) {
     case Severity::Note: return "note";
   }
   return "?";
-}
-
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Everything the rules share: per-class representative names plus the
@@ -141,7 +118,7 @@ std::string LintReport::renderText(const SourceManager& sm) const {
 std::string LintReport::renderJson(const SourceManager& sm,
                                    const std::string& designName) const {
   std::string out = "{\n  \"zeus-lint\": 1,\n  \"design\": \"" +
-                    jsonEscape(designName) + "\",\n  \"summary\": {" +
+                    metrics::jsonEscape(designName) + "\",\n  \"summary\": {" +
                     "\"errors\": " + std::to_string(errors) +
                     ", \"warnings\": " + std::to_string(warnings) +
                     ", \"notes\": " + std::to_string(notes) +
@@ -157,10 +134,10 @@ std::string LintReport::renderJson(const SourceManager& sm,
     if (f.rule == LintRule::MultiplexContention) {
       out += std::string(", \"certain\": ") + (f.certain ? "true" : "false");
     }
-    out += ", \"net\": \"" + jsonEscape(f.net) + "\"";
+    out += ", \"net\": \"" + metrics::jsonEscape(f.net) + "\"";
     out += ", \"line\": " + std::to_string(lc.line);
     out += ", \"col\": " + std::to_string(lc.col);
-    out += ", \"message\": \"" + jsonEscape(f.message) + "\"}";
+    out += ", \"message\": \"" + metrics::jsonEscape(f.message) + "\"}";
   }
   out += findings.empty() ? "]\n}\n" : "\n  ]\n}\n";
   return out;

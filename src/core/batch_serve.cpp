@@ -8,7 +8,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/codegen/compiled.h"
 #include "src/core/compiler.h"
 #include "src/core/sim_farm.h"
 #include "src/corpus/corpus.h"
@@ -206,7 +205,6 @@ struct ServeRequest {
   size_t threads = 0;
   uint64_t seed = 0;
   int optLevel = 1;
-  std::string engine;  ///< "interp" | "compiled" | "" (the serve default)
 };
 
 bool fieldString(const JsonValue& o, const char* key, std::string& out,
@@ -263,12 +261,6 @@ struct CachedDesign {
   std::unique_ptr<SimGraph> graph;
   std::string top;
   std::string error;  ///< non-empty = the compile failed (cached too)
-  // Native-codegen artifact, loaded lazily on the first request that
-  // wants the compiled engine and shared by every later one (the on-disk
-  // artifact cache additionally persists it across serve batches).
-  bool codegenTried = false;
-  std::shared_ptr<const codegen::CompiledDesign> codegen;
-  std::string codegenError;  ///< why the load failed (fallback reason)
 };
 
 CachedDesign compileDesign(const std::string& source, const std::string& top,
@@ -408,16 +400,10 @@ std::string runServeBatch(const std::string& requestJson,
          fieldNumber(e, "lanes", lanes, err) &&
          fieldNumber(e, "threads", threads, err) &&
          fieldNumber(e, "seed", req.seed, err) &&
-         fieldNumber(e, "opt", optLevel, err) &&
-         fieldString(e, "engine", req.engine, err);
+         fieldNumber(e, "opt", optLevel, err);
     if (ok && optLevel > 1) {
       ok = false;
       err = "field 'opt' must be 0 or 1";
-    }
-    if (ok && !req.engine.empty() && req.engine != "interp" &&
-        req.engine != "compiled") {
-      ok = false;
-      err = "field 'engine' must be \"interp\" or \"compiled\"";
     }
     if (ok && (lanes == 0 || lanes > 65536)) {
       ok = false;
@@ -484,23 +470,6 @@ std::string runServeBatch(const std::string& requestJson,
       }
     }
 
-    // Resolve the evaluation engine.  The codegen artifact is loaded once
-    // per cached design (the on-disk cache makes repeat serve batches a
-    // disk hit too); a failed load is remembered and reported as the
-    // fallback reason on every request that wanted the compiled engine.
-    const bool wantCompiled =
-        ok && (req.engine == "compiled" ||
-               (req.engine.empty() && opts.defaultCompiled));
-    if (wantCompiled && !cached->codegenTried) {
-      cached->codegenTried = true;
-      codegen::CodegenOptions copts;
-      copts.cacheDir = opts.codegenCacheDir;
-      copts.optLevel = static_cast<uint32_t>(req.optLevel);
-      cached->codegen = codegen::CompiledDesign::load(*cached->graph, copts,
-                                                      cached->codegenError);
-    }
-    const bool useCompiled = wantCompiled && cached->codegen != nullptr;
-
     std::string line = "    {\"id\": \"" + metrics::jsonEscape(req.id) + "\"";
     if (ok) {
       FarmOptions fopts;
@@ -508,17 +477,9 @@ std::string runServeBatch(const std::string& requestJson,
       fopts.lanes = req.lanes;
       fopts.cycles = req.cycles;
       fopts.seed = req.seed;
-      if (useCompiled) fopts.compiled = cached->codegen;
       try {
         FarmReport fr = runFarm(*cached->graph, fopts);
         line += ", \"ok\": true";
-        line += ", \"engine\": \"";
-        line += useCompiled ? "compiled" : "interp";
-        line += "\"";
-        if (wantCompiled && !useCompiled) {
-          line += ", \"engine_fallback\": \"" +
-                  metrics::jsonEscape(cached->codegenError) + "\"";
-        }
         line += ", \"design\": \"" + metrics::jsonEscape(cached->top) + "\"";
         line += ", \"design_hash\": \"" +
                 hex(designContentHash(*cached->design)) + "\"";

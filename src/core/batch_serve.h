@@ -35,13 +35,6 @@ struct ServeOptions {
   uint64_t defaultCycles = 16;
   uint64_t defaultSeed = 0xC0FFEEull;
   int defaultOptLevel = 1;
-  /// Default engine for requests without an "engine" field: true = the
-  /// native codegen backend (falls back to the interpreter, with the
-  /// reason in the response, when emit/compile/load fails).
-  bool defaultCompiled = false;
-  /// Codegen artifact cache directory ("" = ZEUS_CODEGEN_CACHE_DIR, then
-  /// the system temp dir); see src/codegen/compiled.h.
-  std::string codegenCacheDir;
 };
 
 /// Aggregate outcome, for the CLI summary line and the metrics latency

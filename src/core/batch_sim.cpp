@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "src/codegen/compiled.h"
 #include "src/sim/snapshot.h"
 
 namespace zeus {
@@ -23,27 +22,6 @@ BatchSimulation::BatchSimulation(const SimGraph& graph, size_t lanes)
   regValues_.assign(g_.regNodes.size(),
                     lanesBroadcast(Logic::Undef, ~uint64_t{0}));
   seedDefaults();
-}
-
-BatchSimulation::BatchSimulation(
-    const SimGraph& graph, size_t lanes,
-    std::shared_ptr<const codegen::CompiledDesign> compiled)
-    : BatchSimulation(graph, lanes) {
-  if (compiled) {
-    compiled_ = std::make_unique<codegen::CompiledBatchEvaluator>(
-        graph, std::move(compiled));
-  }
-}
-
-BatchSimulation::~BatchSimulation() = default;
-
-const EvalStats& BatchSimulation::stats() const {
-  return compiled_ ? compiled_->stats() : eval_.stats();
-}
-
-void BatchSimulation::resetStats() {
-  if (compiled_) compiled_->resetStats();
-  else eval_.resetStats();
 }
 
 void BatchSimulation::seedDefaults() {
@@ -286,8 +264,7 @@ void BatchSimulation::runCycle(bool latch) {
     buildFaultPlan();
     if (faultPlan_.any) seeds.faults = &faultPlan_;
   }
-  if (compiled_) compiled_->evaluate(seeds, result_);
-  else eval_.evaluate(seeds, result_);
+  eval_.evaluate(seeds, result_);
   evaluated_ = true;
 
   const Netlist& nl = g_.design->netlist;
@@ -375,7 +352,7 @@ metrics::SimCounters BatchSimulation::metricsCounters() const {
   const EvalStats& s = stats();
   metrics::SimCounters c;
   c.ran = true;
-  c.evaluator = compiled_ ? "batch-compiled" : "batch";
+  c.evaluator = "batch";
   c.cycles = cycle_;
   c.lanes = lanes_;
   c.laneCycles = cycle_ * lanes_;

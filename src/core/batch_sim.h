@@ -19,26 +19,12 @@
 
 namespace zeus {
 
-namespace codegen {
-class CompiledDesign;
-class CompiledBatchEvaluator;
-}  // namespace codegen
-
 class BatchSimulation {
  public:
   static constexpr size_t kMaxLanes = 64;
 
   /// `lanes` independent stimulus streams (1..64) over one graph.
   explicit BatchSimulation(const SimGraph& graph, size_t lanes = kMaxLanes);
-  /// Same facade running the hot-loaded compiled engine
-  /// (src/codegen/compiled.h) instead of the interpreter; a null design
-  /// falls back to the interpreter silently.
-  BatchSimulation(const SimGraph& graph, size_t lanes,
-                  std::shared_ptr<const codegen::CompiledDesign> compiled);
-  ~BatchSimulation();  // out-of-line: compiled_ is an incomplete type
-
-  /// True when cycles run on the compiled engine (vs the interpreter).
-  [[nodiscard]] bool usingCompiled() const { return compiled_ != nullptr; }
 
   [[nodiscard]] size_t lanes() const { return lanes_; }
 
@@ -121,8 +107,8 @@ class BatchSimulation {
   [[nodiscard]] const std::vector<SimError>& errors() const {
     return errors_;
   }
-  [[nodiscard]] const EvalStats& stats() const;
-  void resetStats();
+  [[nodiscard]] const EvalStats& stats() const { return eval_.stats(); }
+  void resetStats() { eval_.resetStats(); }
 
   /// Counter snapshot of this run.  Per-evaluated-cycle counters (one
   /// word-parallel firing covers every lane), so totals compare directly
@@ -143,8 +129,7 @@ class BatchSimulation {
   const SimGraph& g_;
   size_t lanes_;
   uint64_t laneMask_;
-  LevelizedBatchEvaluator eval_;  ///< interpreter (also the fallback)
-  std::unique_ptr<codegen::CompiledBatchEvaluator> compiled_;
+  LevelizedBatchEvaluator eval_;
 
   std::vector<LanePlanes> inputValues_;  ///< per dense net
   std::vector<LanePlanes> regValues_;    ///< per graph.regNodes index

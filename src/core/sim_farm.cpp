@@ -208,7 +208,7 @@ FarmReport runFarm(const SimGraph& graph, const FarmOptions& opts,
     const auto blockT0 = std::chrono::steady_clock::now();
     const size_t first = b * perBlock;
     const size_t n = std::min(perBlock, lanes - first);
-    BatchSimulation batch(graph, n, opts.compiled);
+    BatchSimulation batch(graph, n);
     if (resume) {
       for (size_t l = 0; l < n; ++l) {
         batch.restoreSnapshot(l, resume->lanes[first + l]);

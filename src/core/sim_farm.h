@@ -56,11 +56,6 @@ struct FarmOptions {
   /// many cycles (0 = never).  Delivered via onCheckpoint after the run.
   uint64_t checkpointAtCycle = 0;
   std::function<void(const FarmSnapshot&)> onCheckpoint;
-  /// Hot-loaded compiled engine (src/codegen/compiled.h): every block
-  /// then runs native code instead of the interpreter, sharing the one
-  /// dlopen'd artifact.  Null = interpreter.  Results are bit-identical
-  /// either way (the differential tests assert it).
-  std::shared_ptr<const codegen::CompiledDesign> compiled;
 };
 
 struct FarmReport {

@@ -27,6 +27,17 @@ namespace zeus {
 
 class LevelizedEvaluator {
  public:
+  explicit LevelizedEvaluator(const SimGraph& graph);
+
+  void evaluate(const CycleSeeds& seeds, CycleResult& out);
+  [[nodiscard]] const EvalStats& stats() const { return stats_; }
+  void resetStats() { stats_ = {}; }
+  /// Restores a previously captured counter state (snapshot resume).
+  void setStats(const EvalStats& s) { stats_ = s; }
+
+ private:
+  friend class LevelizedBatchEvaluator;
+
   /// One schedule step: resolve a dense net from its drivers, or
   /// evaluate a node from its (already resolved) input nets.
   struct Op {
@@ -37,24 +48,9 @@ class LevelizedEvaluator {
   /// NodeId -> index into graph.regNodes, or kNotReg.
   static constexpr uint32_t kNotReg = 0xFFFFFFFFu;
 
-  explicit LevelizedEvaluator(const SimGraph& graph);
-
-  void evaluate(const CycleSeeds& seeds, CycleResult& out);
-  [[nodiscard]] const EvalStats& stats() const { return stats_; }
-  void resetStats() { stats_ = {}; }
-  /// Restores a previously captured counter state (snapshot resume).
-  void setStats(const EvalStats& s) { stats_ = s; }
-
   /// Builds the interleaved resolve/evaluate schedule with the same Kahn
-  /// walk as buildSimGraph.  Exposed so the codegen emitter
-  /// (src/codegen/emit.h) replays exactly this order — the compiled
-  /// engine's evaluation order, RANDOM draw order and stats constants all
-  /// derive from it.
+  /// walk as buildSimGraph.
   [[nodiscard]] static std::vector<Op> buildSchedule(const SimGraph& graph);
-  [[nodiscard]] const std::vector<Op>& schedule() const { return schedule_; }
-
- private:
-  friend class LevelizedBatchEvaluator;
 
   const SimGraph& g_;
   EvalStats stats_;

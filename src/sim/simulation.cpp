@@ -5,7 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "src/codegen/compiled.h"
 #include "src/sim/snapshot.h"
 #include "src/support/trace.h"
 
@@ -13,9 +12,6 @@ namespace zeus {
 
 Simulation::Simulation(const SimGraph& graph, EvaluatorKind kind)
     : Simulation(graph, Options{.evaluator = kind}) {}
-
-Simulation::~Simulation() = default;
-Simulation::Simulation(Simulation&&) noexcept = default;
 
 Simulation::Simulation(const SimGraph& graph, const Options& opts)
     : g_(graph), opts_(opts), kind_(opts.evaluator) {
@@ -32,17 +28,6 @@ Simulation::Simulation(const SimGraph& graph, const Options& opts)
       break;
     case EvaluatorKind::Levelized:
       levelized_ = std::make_unique<LevelizedEvaluator>(g_);
-      break;
-    case EvaluatorKind::Compiled:
-      if (opts_.compiled) {
-        compiled_ = std::make_unique<codegen::CompiledScalarEvaluator>(
-            g_, opts_.compiled);
-      } else {
-        // No loaded engine: demote to the levelized interpreter (same
-        // semantics, same results) rather than failing the run.
-        kind_ = EvaluatorKind::Levelized;
-        levelized_ = std::make_unique<LevelizedEvaluator>(g_);
-      }
       break;
   }
   inputValues_.assign(g_.denseCount, Logic::Undef);
@@ -192,7 +177,6 @@ void Simulation::buildFaultPlan() {
 void Simulation::setStatsInternal(const EvalStats& s) {
   if (firing_) firing_->setStats(s);
   else if (naive_) naive_->setStats(s);
-  else if (compiled_) compiled_->setStats(s);
   else levelized_->setStats(s);
 }
 
@@ -249,7 +233,6 @@ void Simulation::runCycle(bool latch) {
   }
   if (firing_) firing_->evaluate(seeds, result_);
   else if (naive_) naive_->evaluate(seeds, result_);
-  else if (compiled_) compiled_->evaluate(seeds, result_);
   else levelized_->evaluate(seeds, result_);
   rngState_ = result_.rngState;
   evaluated_ = true;
@@ -376,14 +359,12 @@ std::optional<uint64_t> Simulation::outputUint(
 const EvalStats& Simulation::stats() const {
   if (firing_) return firing_->stats();
   if (naive_) return naive_->stats();
-  if (compiled_) return compiled_->stats();
   return levelized_->stats();
 }
 
 void Simulation::resetStats() {
   if (firing_) firing_->resetStats();
   else if (naive_) naive_->resetStats();
-  else if (compiled_) compiled_->resetStats();
   else levelized_->resetStats();
 }
 
@@ -395,7 +376,6 @@ metrics::SimCounters Simulation::metricsCounters() const {
     case EvaluatorKind::Firing: c.evaluator = "firing"; break;
     case EvaluatorKind::Naive: c.evaluator = "naive"; break;
     case EvaluatorKind::Levelized: c.evaluator = "levelized"; break;
-    case EvaluatorKind::Compiled: c.evaluator = "compiled"; break;
   }
   c.cycles = cycle_;
   c.lanes = 1;

@@ -24,20 +24,12 @@
 
 namespace zeus {
 
-namespace codegen {
-class CompiledDesign;
-class CompiledScalarEvaluator;
-}  // namespace codegen
-
 /// Firing: event-driven §8 firing rules (short-circuit, one pass).
 /// Naive: sweep-to-fixpoint baseline (ablation partner).
 /// Levelized: statically scheduled linear walk (fastest interpreter; also
 /// the engine under the 64-lane BatchSimulation facade in
 /// src/core/batch_sim.h).
-/// Compiled: native code emitted and hot-loaded per design
-/// (src/codegen/compiled.h); requires Options::compiled — falls back to
-/// Levelized when none is supplied.
-enum class EvaluatorKind { Firing, Naive, Levelized, Compiled };
+enum class EvaluatorKind { Firing, Naive, Levelized };
 
 /// A runtime fault recorded during simulation.  Faults never abort the
 /// run; they accumulate in Simulation::errors() with a stable Diag code
@@ -86,20 +78,11 @@ class Simulation {
     /// adds one O(nets) sweep per latched cycle, so it is off by default
     /// and the only cost when off is a single branch per cycle.
     bool profileActivity = false;
-    /// Hot-loaded engine for EvaluatorKind::Compiled (see
-    /// codegen::CompiledDesign::load).  Null demotes Compiled to
-    /// Levelized — the caller is responsible for surfacing the fallback.
-    std::shared_ptr<const codegen::CompiledDesign> compiled;
   };
 
   explicit Simulation(const SimGraph& graph,
                       EvaluatorKind kind = EvaluatorKind::Firing);
   Simulation(const SimGraph& graph, const Options& opts);
-  // Out-of-line: compiled_ points at an incomplete type.  The move
-  // constructor stays (vector<Simulation> tests rely on it); declaring
-  // the destructor would otherwise suppress it.
-  ~Simulation();
-  Simulation(Simulation&&) noexcept;
 
   /// Clears registers to UNDEF, inputs to unset, cycle count to 0.
   void reset();
@@ -207,7 +190,6 @@ class Simulation {
   std::unique_ptr<FiringEvaluator> firing_;
   std::unique_ptr<NaiveEvaluator> naive_;
   std::unique_ptr<LevelizedEvaluator> levelized_;
-  std::unique_ptr<codegen::CompiledScalarEvaluator> compiled_;
 
   std::vector<Logic> inputValues_;  ///< per dense net
   std::vector<char> inputSet_;

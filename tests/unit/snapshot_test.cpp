@@ -181,6 +181,92 @@ TEST(Snapshot, OptimizationLevelGuardsRestore) {
   EXPECT_EQ(same.cycle(), snap1.cycle);
 }
 
+/// RANDOM draws, a REG trajectory and input-dependent contention: the
+/// state a resumed run must carry across a serialized snapshot.
+const char* kResumable = R"(
+TYPE t = COMPONENT (IN en, a, b: boolean; OUT o, q: boolean) IS
+  SIGNAL r: REG;
+  SIGNAL m: multiplex;
+BEGIN
+  IF en THEN r.in := RANDOM() END;
+  IF a THEN m := 1 END;
+  IF b THEN m := 0 END;
+  o := r.out;
+  q := m
+END;
+SIGNAL top: t;
+)";
+
+/// Cycle c's (en, a, b) inputs, a fixed pseudo-random pattern.
+Logic resumableInput(int c, int bit) {
+  return logicFromBool(((c * 0x9E3779B9u) >> (7 + bit)) & 1);
+}
+
+void driveResumable(Simulation& sim, int c) {
+  sim.setInput("en", resumableInput(c, 0));
+  sim.setInput("a", resumableInput(c, 1));
+  sim.setInput("b", resumableInput(c, 2));
+  sim.step();
+}
+
+SimSnapshot throughBytes(const SimSnapshot& snap) {
+  std::vector<uint8_t> bytes = snapshotToBytes(snap);
+  SimSnapshot back;
+  std::string err;
+  EXPECT_TRUE(snapshotFromBytes(bytes.data(), bytes.size(), back, err))
+      << err;
+  return back;
+}
+
+// A mid-run snapshot that goes through its ZSNP byte form resumes
+// bit-identically: registers, RANDOM stream position, SimErrors and
+// evaluator counters, from a scalar run and from a batch lane alike.
+TEST(Snapshot, SerializedResumeIsBitIdentical) {
+  constexpr int kCycles = 24;
+  constexpr int kStopAt = 10;
+  constexpr uint64_t kSeed = 0xABCDEF;
+  Built b = buildOk(kResumable, "top");
+  SimGraph g = buildSimGraph(*b.design, b.comp->diags());
+  ASSERT_FALSE(g.hasCycle);
+
+  Simulation straight(g, EvaluatorKind::Levelized);
+  straight.setRandomSeed(kSeed);
+  for (int c = 0; c < kCycles; ++c) driveResumable(straight, c);
+  ASSERT_FALSE(straight.errors().empty()) << "stimulus never contended";
+
+  // Scalar -> ZSNP bytes -> scalar.
+  Simulation first(g, EvaluatorKind::Levelized);
+  first.setRandomSeed(kSeed);
+  for (int c = 0; c < kStopAt; ++c) driveResumable(first, c);
+  Simulation resumed(g, EvaluatorKind::Levelized);
+  resumed.restoreSnapshot(throughBytes(first.saveSnapshot()));
+  for (int c = kStopAt; c < kCycles; ++c) driveResumable(resumed, c);
+  EXPECT_EQ(resumed.cycle(), straight.cycle());
+  EXPECT_EQ(resumed.errors(), straight.errors());
+  EXPECT_EQ(resumed.randomState(), straight.randomState());
+  EXPECT_EQ(resumed.saveRegisters(), straight.saveRegisters());
+  EXPECT_TRUE(resumed.stats() == straight.stats())
+      << "evaluator counters diverged across the byte form";
+
+  // Batch lane -> ZSNP bytes -> scalar.
+  BatchSimulation batch(g, 4);
+  for (size_t l = 0; l < batch.lanes(); ++l) batch.setRandomSeed(l, kSeed);
+  for (int c = 0; c < kStopAt; ++c) {
+    for (size_t l = 0; l < batch.lanes(); ++l) {
+      batch.setInput(l, "en", resumableInput(c, 0));
+      batch.setInput(l, "a", resumableInput(c, 1));
+      batch.setInput(l, "b", resumableInput(c, 2));
+    }
+    batch.step();
+  }
+  Simulation cont(g, EvaluatorKind::Levelized);
+  cont.restoreSnapshot(throughBytes(batch.saveSnapshot(2)));
+  for (int c = kStopAt; c < kCycles; ++c) driveResumable(cont, c);
+  EXPECT_EQ(cont.cycle(), straight.cycle());
+  EXPECT_EQ(cont.randomState(), straight.randomState());
+  EXPECT_EQ(cont.saveRegisters(), straight.saveRegisters());
+}
+
 TEST(Snapshot, CampaignProgressRoundtrip) {
   CampaignProgress p;
   p.designHash = 0xDEADBEEFu;

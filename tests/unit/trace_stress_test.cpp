@@ -34,6 +34,11 @@ namespace {
 
 constexpr int kObserverIters = ZEUS_TSAN ? 40 : 200;
 constexpr uint64_t kMaxSpansPerWriter = ZEUS_TSAN ? 20000 : 2000000;
+/// Per-writer span cap per observer round in the snapshot/clear stress
+/// test; its worst case (two rounds per observer iteration) stays within
+/// the per-writer budget above.
+constexpr uint64_t kSpansPerRound = ZEUS_TSAN ? 100 : 500;
+static_assert(2 * kObserverIters * kSpansPerRound <= kMaxSpansPerWriter);
 
 /// Restores the process-wide trace state so the stress tests cannot leak
 /// events into the metrics/phase-timing tests that share this binary.
@@ -51,22 +56,47 @@ struct TraceGuard {
 TEST(TraceStress, ConcurrentSpansVsSnapshotAndClear) {
   TraceGuard guard;
   trace::setEnabled(true);
+  constexpr int kWriters = 4;
   std::atomic<bool> stop{false};
+  // The observer opens a round before every snapshot and every clear and
+  // waits until each writer has started writing in it; a writer then
+  // pushes at most kSpansPerRound spans and sleeps until the next round.
+  // Writers are therefore live when each snapshot and clear begins, while
+  // the buffers between clears stay a few thousand events long instead
+  // of growing with however fast the writers are.
+  std::atomic<int> round{0};
+  std::atomic<int> entered{0};
   std::vector<std::thread> writers;
   // Writers hammer the per-thread buffers with short spans...
-  for (int t = 0; t < 4; ++t) {
-    writers.emplace_back([&stop] {
-      for (uint64_t n = 0; n < kMaxSpansPerWriter &&
-                           !stop.load(std::memory_order_relaxed);
-           ++n) {
-        ZEUS_TRACE_SPAN("stress-span", "test");
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&stop, &round, &entered] {
+      for (int seen = 0;;) {
+        round.wait(seen, std::memory_order_acquire);
+        if (stop.load(std::memory_order_relaxed)) return;
+        seen = round.load(std::memory_order_acquire);
+        {
+          ZEUS_TRACE_SPAN("stress-span", "test");
+        }
+        entered.fetch_add(1, std::memory_order_release);
+        entered.notify_one();
+        for (uint64_t n = 1; n < kSpansPerRound; ++n) {
+          ZEUS_TRACE_SPAN("stress-span", "test");
+        }
       }
     });
   }
+  auto openRound = [&round, &entered] {
+    const int r = round.fetch_add(1, std::memory_order_acq_rel) + 1;
+    round.notify_all();
+    for (int e; (e = entered.load(std::memory_order_acquire)) < kWriters * r;) {
+      entered.wait(e, std::memory_order_acquire);
+    }
+  };
   // ...while this thread concurrently snapshots, renders and clears the
   // same buffers.  Before the per-buffer mutex, Span::~Span's push_back
   // raced the registry-only iteration here; TSan flags any regression.
   for (int i = 0; i < kObserverIters; ++i) {
+    openRound();
     (void)trace::eventCount();
     std::vector<trace::Event> events = trace::snapshot();
     for (const trace::Event& e : events) {
@@ -74,9 +104,14 @@ TEST(TraceStress, ConcurrentSpansVsSnapshotAndClear) {
     }
     (void)trace::renderChromeJson();
     (void)metrics::phaseTimings();
-    if (i % 10 == 0) trace::clear();
+    if (i % 10 == 0) {
+      openRound();
+      trace::clear();
+    }
   }
   stop.store(true);
+  round.fetch_add(1, std::memory_order_release);
+  round.notify_all();
   for (std::thread& w : writers) w.join();
   trace::clear();
   EXPECT_EQ(trace::eventCount(), 0u);

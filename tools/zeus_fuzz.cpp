@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "src/codegen/emit.h"
 #include "src/core/zeus.h"
 #include "src/sim/graph.h"
 #include "src/sim/snapshot.h"
@@ -103,10 +102,6 @@ bool runOne(const uint8_t* data, size_t size) {
       // post-pipeline graphs too.
       graph = zeus::buildSimGraph(*design, comp->diags());
       if (graph.hasCycle) continue;
-      // The codegen emitter (source generation only — no host toolchain)
-      // must refuse malformed graphs with a structured error, never
-      // crash: every elaboration survivor goes through it.
-      (void)zeus::codegen::emitCompiledCpp(graph);
       zeus::Simulation::Options sopts;
       sopts.maxEventsPerCycle = 1u << 22;
       sopts.maxSimMillis = 2000;
