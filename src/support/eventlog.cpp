@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -14,6 +13,7 @@
 
 #include "src/support/buildinfo.h"
 #include "src/support/metrics.h"
+#include "src/support/thread_slot.h"
 
 namespace zeus::flightrec {
 namespace {
@@ -28,47 +28,10 @@ namespace zeus::eventlog {
 
 namespace {
 
-std::atomic<bool> g_enabled{false};
-std::atomic<uint64_t> g_epoch{1};  // generation stamp, as trace.cpp
+using threadslot::Line;
 
-uint64_t nowUs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// One serialized JSONL line, timestamped for the cross-thread merge.
-struct Line {
-  uint64_t tsUs;
-  std::string text;
-};
-
-/// Per-thread line buffer — same shape and lock order as the trace
-/// buffer: own mutex for appends, registry mutex only on first use and
-/// at enumerate/clear time.
-struct ThreadBuffer {
-  std::mutex mutex;
-  std::vector<Line> lines;
-};
-
-std::mutex g_registryMutex;
-std::vector<ThreadBuffer*>& registry() {
-  // Heap-allocated, never freed: must survive static destruction for
-  // LeakSanitizer's post-exit scan (same rule as trace.cpp).
-  static auto* r = new std::vector<ThreadBuffer*>;
-  return *r;
-}
-
-ThreadBuffer& localBuffer() {
-  thread_local ThreadBuffer* buf = [] {
-    auto* b = new ThreadBuffer;  // leaked on purpose: outlives the thread
-    std::lock_guard<std::mutex> lock(g_registryMutex);
-    registry().push_back(b);
-    return b;
-  }();
-  return *buf;
-}
+/// Serialized lines live in the per-thread slots (thread_slot.h).
+constinit threadslot::Sink<Line> g_lines{&threadslot::Slot::lines};
 
 std::mutex g_requestIdMutex;
 std::string& requestIdStorage() {
@@ -138,34 +101,10 @@ Field boolean(const char* key, bool value) {
   return {key, value ? "true" : "false", false};
 }
 
-void setEnabled(bool on) {
-  if (!on) g_epoch.fetch_add(1, std::memory_order_seq_cst);
-  g_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-void clear() {
-  // Invalidate in-flight emits FIRST (see trace::clear for the full
-  // argument): an emit that captured the old generation re-checks under
-  // its buffer mutex and drops its line.
-  g_epoch.fetch_add(1, std::memory_order_seq_cst);
-  std::lock_guard<std::mutex> lock(g_registryMutex);
-  for (ThreadBuffer* b : registry()) {
-    std::lock_guard<std::mutex> bufLock(b->mutex);
-    b->lines.clear();
-  }
-}
-
-size_t eventCount() {
-  std::lock_guard<std::mutex> lock(g_registryMutex);
-  size_t n = 0;
-  for (ThreadBuffer* b : registry()) {
-    std::lock_guard<std::mutex> bufLock(b->mutex);
-    n += b->lines.size();
-  }
-  return n;
-}
+void setEnabled(bool on) { g_lines.setEnabled(on); }
+bool enabled() { return g_lines.enabled(); }
+void clear() { g_lines.clear(); }
+size_t eventCount() { return g_lines.count(); }
 
 void setRequestId(std::string_view id) {
   std::lock_guard<std::mutex> lock(g_requestIdMutex);
@@ -183,31 +122,19 @@ void emit(Severity sev, const char* subsystem, const char* event,
   const bool toRing = flightrec::armed();
   if (!toLog && !toRing) return;  // the cost when telemetry is off
 
-  const uint64_t epoch = g_epoch.load(std::memory_order_seq_cst);
-  const uint64_t ts = nowUs();
+  const uint64_t epoch = g_lines.generation();
+  const uint64_t ts = threadslot::nowUs();
   const std::string line =
       serializeLine(ts, sev, subsystem, event, requestId(), fields);
 
   if (toRing) flightrec::detail::recordLine(line);
   if (!toLog) return;
 
-  ThreadBuffer& buf = localBuffer();
-  std::lock_guard<std::mutex> lock(buf.mutex);
-  // Re-check under the lock: clear()/setEnabled(false) since the capture
-  // means this line belongs to a discarded generation.
-  if (g_epoch.load(std::memory_order_seq_cst) != epoch) return;
-  buf.lines.push_back({ts, line});
+  g_lines.append(threadslot::local(), epoch, {ts, line});
 }
 
 std::string renderJsonl() {
-  std::vector<Line> all;
-  {
-    std::lock_guard<std::mutex> lock(g_registryMutex);
-    for (ThreadBuffer* b : registry()) {
-      std::lock_guard<std::mutex> bufLock(b->mutex);
-      all.insert(all.end(), b->lines.begin(), b->lines.end());
-    }
-  }
+  std::vector<Line> all = g_lines.collect();
   std::sort(all.begin(), all.end(), [](const Line& a, const Line& b) {
     return a.tsUs != b.tsUs ? a.tsUs < b.tsUs : a.text < b.text;
   });
@@ -237,36 +164,14 @@ namespace {
 constexpr size_t kRingSlots = 128;
 constexpr size_t kSlotBytes = 512;
 
-struct Slot {
+struct RingSlot {
   std::mutex mutex;  // writers + dumpNow(); the signal handler skips it
   std::atomic<uint32_t> len{0};
   char data[kSlotBytes];
 };
 
-Slot g_ring[kRingSlots];
+RingSlot g_ring[kRingSlots];
 std::atomic<uint64_t> g_ringHead{0};  // total events ever recorded
-
-// ---- open-span stacks -----------------------------------------------
-
-constexpr size_t kMaxSpanDepth = 16;
-constexpr size_t kMaxSpanThreads = 64;
-
-struct SpanStack {
-  std::atomic<uint32_t> depth{0};
-  std::atomic<const char*> names[kMaxSpanDepth];
-  std::atomic<const char*> cats[kMaxSpanDepth];
-};
-
-SpanStack g_spanStacks[kMaxSpanThreads];
-std::atomic<uint32_t> g_spanThreads{0};
-
-SpanStack* localSpanStack() {
-  thread_local SpanStack* s = []() -> SpanStack* {
-    uint32_t idx = g_spanThreads.fetch_add(1, std::memory_order_relaxed);
-    return idx < kMaxSpanThreads ? &g_spanStacks[idx] : nullptr;
-  }();
-  return s;
-}
 
 // ---- dump target, pre-serialized at arm() ---------------------------
 
@@ -320,7 +225,7 @@ bool writeDump(const char* reason, int sig, bool fromSignal) {
   writeStr(fd, ",\n \"events\": [");
   bool first = true;
   for (uint64_t seq = dropped; seq < head; ++seq) {
-    Slot& slot = g_ring[seq % kRingSlots];
+    RingSlot& slot = g_ring[seq % kRingSlots];
     if (!fromSignal) slot.mutex.lock();
     const uint32_t len = slot.len.load(std::memory_order_acquire);
     if (len > 0 && len < kSlotBytes) {
@@ -334,21 +239,19 @@ bool writeDump(const char* reason, int sig, bool fromSignal) {
 
   writeStr(fd, ",\n \"open_spans\": [");
   first = true;
-  const uint32_t nthreads =
-      std::min<uint32_t>(g_spanThreads.load(std::memory_order_acquire),
-                         kMaxSpanThreads);
-  for (uint32_t t = 0; t < nthreads; ++t) {
-    SpanStack& s = g_spanStacks[t];
+  for (const threadslot::Slot* s = threadslot::first(); s;
+       s = s->next.load(std::memory_order_acquire)) {
     const uint32_t depth = std::min<uint32_t>(
-        s.depth.load(std::memory_order_acquire), kMaxSpanDepth);
+        s->spanDepth.load(std::memory_order_acquire),
+        threadslot::kMaxSpanDepth);
     for (uint32_t d = 0; d < depth; ++d) {
-      const char* name = s.names[d].load(std::memory_order_relaxed);
-      const char* cat = s.cats[d].load(std::memory_order_relaxed);
+      const char* name = s->spanNames[d].load(std::memory_order_relaxed);
+      const char* cat = s->spanCats[d].load(std::memory_order_relaxed);
       if (!name || !cat) continue;  // torn push in another thread: skip
       writeStr(fd, first ? "\n  " : ",\n  ");
       first = false;
       writeStr(fd, "{\"tid\": ");
-      writeU64(fd, t + 1);
+      writeU64(fd, s->tid);
       writeStr(fd, ", \"depth\": ");
       writeU64(fd, d);
       // name/cat are phase-name string literals (trace contract): no
@@ -386,7 +289,7 @@ namespace detail {
 
 void recordLine(const std::string& line) {
   const uint64_t seq = g_ringHead.fetch_add(1, std::memory_order_acq_rel);
-  Slot& slot = g_ring[seq % kRingSlots];
+  RingSlot& slot = g_ring[seq % kRingSlots];
   std::lock_guard<std::mutex> lock(slot.mutex);
   slot.len.store(0, std::memory_order_release);  // close the torn window
   const size_t n = std::min(line.size(), kSlotBytes - 1);
@@ -415,7 +318,7 @@ void disarm() {
   const uint64_t head = g_ringHead.load(std::memory_order_acquire);
   for (uint64_t seq = head > kRingSlots ? head - kRingSlots : 0; seq < head;
        ++seq) {
-    Slot& slot = g_ring[seq % kRingSlots];
+    RingSlot& slot = g_ring[seq % kRingSlots];
     std::lock_guard<std::mutex> lock(slot.mutex);
     slot.len.store(0, std::memory_order_release);
   }
@@ -429,22 +332,20 @@ bool dumpNow(const char* reason) {
 }
 
 void pushSpan(const char* name, const char* category) {
-  SpanStack* s = localSpanStack();
-  if (!s) return;  // more live threads than stacks: drop, never block
-  const uint32_t d = s->depth.load(std::memory_order_relaxed);
-  if (d < kMaxSpanDepth) {
-    s->names[d].store(name, std::memory_order_relaxed);
-    s->cats[d].store(category, std::memory_order_relaxed);
+  threadslot::Slot& s = threadslot::local();
+  const uint32_t d = s.spanDepth.load(std::memory_order_relaxed);
+  if (d < threadslot::kMaxSpanDepth) {
+    s.spanNames[d].store(name, std::memory_order_relaxed);
+    s.spanCats[d].store(category, std::memory_order_relaxed);
   }
   // Count past capacity so pops balance; the reader clamps.
-  s->depth.store(d + 1, std::memory_order_release);
+  s.spanDepth.store(d + 1, std::memory_order_release);
 }
 
 void popSpan() {
-  SpanStack* s = localSpanStack();
-  if (!s) return;
-  const uint32_t d = s->depth.load(std::memory_order_relaxed);
-  if (d) s->depth.store(d - 1, std::memory_order_release);
+  threadslot::Slot& s = threadslot::local();
+  const uint32_t d = s.spanDepth.load(std::memory_order_relaxed);
+  if (d) s.spanDepth.store(d - 1, std::memory_order_release);
 }
 
 size_t ringCount() {

@@ -11,17 +11,17 @@
 //
 // Concurrency contract — the same one as the trace buffer
 // (src/support/trace.h): emit() may run from any thread at any time.
-// Serialized lines collect in per-thread buffers under the buffer's own
-// (uncontended) mutex; clear()/setEnabled(false) bump a generation stamp
-// so an emit racing a clear drops its line instead of resurrecting it
-// into a buffer the caller believes is quiescent.  When neither the log
-// sink nor the flight recorder is on, emit() costs two relaxed atomic
-// loads and serializes nothing.
+// Serialized lines collect in the per-thread slots (thread_slot.h) under
+// the slot's own (uncontended) mutex; clear()/setEnabled(false) bump a
+// generation stamp so an emit racing a clear drops its line instead of
+// resurrecting it into a buffer the caller believes is quiescent.  When
+// neither the log sink nor the flight recorder is on, emit() costs two
+// relaxed atomic loads and serializes nothing.
 //
 // The flight recorder (zeus::flightrec) is the part that survives a
 // crash: every emitted event is also pre-serialized into a bounded
-// global ring of fixed-size slots, and trace::Span keeps a per-thread
-// open-span stack beside it.  arm() installs SIGSEGV/SIGABRT handlers
+// global ring of fixed-size entries, and trace::Span keeps an open-span
+// stack in each thread's slot.  arm() installs SIGSEGV/SIGABRT handlers
 // that dump the ring + span stacks to a .zeus-crash.json file using only
 // async-signal-safe calls (open/write on pre-serialized bytes — no
 // malloc, no locks, no formatting); dumpNow() writes the same file from

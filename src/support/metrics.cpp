@@ -1,83 +1,55 @@
 #include "src/support/metrics.h"
 
-#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdio>
 #include <mutex>
 
 #include "src/support/buildinfo.h"
+#include "src/support/thread_slot.h"
 #include "src/support/trace.h"
 
 namespace zeus::metrics {
 
 namespace {
 
-/// Fixed per-thread cell block: counter ids index into it directly, so
-/// add() never allocates or locks.  256 named counters is far above what
-/// the pipeline defines; the ctor asserts the cap.
-constexpr size_t kMaxCounters = 256;
-
-struct Cells {
-  std::array<std::atomic<uint64_t>, kMaxCounters> v{};
-};
-
-struct Registry {
-  std::mutex mutex;
-  std::vector<const char*> names;
-  std::vector<Cells*> threadCells;
-};
-
-Registry& registry() {
-  // Heap-allocated and never freed: the registry must stay alive past
-  // static destruction (worker-thread cells are reachable only through
-  // it, and LeakSanitizer scans after exit teardown).
-  static Registry* r = new Registry;
-  return *r;
+/// Counter names, indexed by id.  The cells live in the per-thread slots
+/// (src/support/thread_slot.h), so add() never allocates or locks.
+std::mutex g_namesMutex;
+std::vector<const char*>& names() {
+  static auto* n = new std::vector<const char*>;  // never freed
+  return *n;
 }
 
-Cells& localCells() {
-  thread_local Cells* cells = [] {
-    auto* c = new Cells;  // leaked on purpose: outlives the thread
-    std::lock_guard<std::mutex> lock(registry().mutex);
-    registry().threadCells.push_back(c);
-    return c;
-  }();
-  return *cells;
+uint64_t sumCells(uint32_t id) {
+  uint64_t total = 0;
+  threadslot::forEach([id, &total](threadslot::Slot& s) {
+    total += s.cells[id].load(std::memory_order_relaxed);
+  });
+  return total;
 }
 
 }  // namespace
 
 Counter::Counter(const char* name) : name_(name) {
-  std::lock_guard<std::mutex> lock(registry().mutex);
-  assert(registry().names.size() < kMaxCounters);
-  id_ = static_cast<uint32_t>(registry().names.size());
-  registry().names.push_back(name);
+  std::lock_guard<std::mutex> lock(g_namesMutex);
+  assert(names().size() < threadslot::kMaxCounters);
+  id_ = static_cast<uint32_t>(names().size());
+  names().push_back(name);
 }
 
 void Counter::add(uint64_t n) {
-  localCells().v[id_].fetch_add(n, std::memory_order_relaxed);
+  threadslot::local().cells[id_].fetch_add(n, std::memory_order_relaxed);
 }
 
-uint64_t Counter::value() const {
-  std::lock_guard<std::mutex> lock(registry().mutex);
-  uint64_t total = 0;
-  for (Cells* c : registry().threadCells) {
-    total += c->v[id_].load(std::memory_order_relaxed);
-  }
-  return total;
-}
+uint64_t Counter::value() const { return sumCells(id_); }
 
 std::vector<std::pair<std::string, uint64_t>> Counter::allValues() {
-  std::lock_guard<std::mutex> lock(registry().mutex);
+  std::lock_guard<std::mutex> lock(g_namesMutex);
   std::vector<std::pair<std::string, uint64_t>> out;
-  out.reserve(registry().names.size());
-  for (size_t i = 0; i < registry().names.size(); ++i) {
-    uint64_t total = 0;
-    for (Cells* c : registry().threadCells) {
-      total += c->v[i].load(std::memory_order_relaxed);
-    }
-    out.emplace_back(registry().names[i], total);
+  out.reserve(names().size());
+  for (size_t i = 0; i < names().size(); ++i) {
+    out.emplace_back(names()[i], sumCells(static_cast<uint32_t>(i)));
   }
   return out;
 }

@@ -21,11 +21,11 @@
 
 namespace zeus::metrics {
 
-/// A process-wide named counter.  Increments go to a lock-free
-/// thread-local cell (plain ++ on already-registered threads); value()
-/// takes the registry lock and sums every thread's cell.  Intended for
-/// coarse pipeline totals (compilations run, designs elaborated), not
-/// per-cycle hot paths — those use the per-evaluator EvalStats.
+/// A process-wide named counter.  Increments go to a lock-free cell in
+/// the calling thread's slot (thread_slot.h); value() sums every slot's
+/// cell, exited threads' included.  Intended for coarse pipeline totals
+/// (compilations run, designs elaborated), not per-cycle hot paths —
+/// those use the per-evaluator EvalStats.
 class Counter {
  public:
   /// `name` must be a string literal (stored by pointer).

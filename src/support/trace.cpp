@@ -1,104 +1,26 @@
 #include "src/support/trace.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <mutex>
 
 #include "src/support/eventlog.h"
+#include "src/support/thread_slot.h"
 
 namespace zeus::trace {
 
 namespace {
 
-std::atomic<bool> g_enabled{false};
-
-/// Buffer generation: bumped by clear() and setEnabled(false).  A span
-/// records only when the epoch it captured at entry is still current, so
-/// spans straddling a clear/disable are dropped instead of resurrecting
-/// events into a supposedly-empty buffer.
-std::atomic<uint64_t> g_epoch{1};
-
-uint64_t nowUs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Per-thread event buffer.  The owning thread appends under `mutex`
-/// (uncontended except while a snapshot/clear touches this buffer); the
-/// registry mutex is taken only on a thread's first event and when the
-/// set of buffers is enumerated.  Lock order: registry mutex, then buffer
-/// mutex — the recording path takes only the buffer mutex.
-struct ThreadBuffer {
-  std::mutex mutex;
-  std::vector<Event> events;
-  uint32_t tid = 0;
-};
-
-std::mutex g_registryMutex;
-std::vector<ThreadBuffer*>& registry() {
-  // Heap-allocated and never freed: thread buffers are reachable only
-  // through this vector, which must survive static destruction for
-  // LeakSanitizer's post-exit scan.
-  static auto* r = new std::vector<ThreadBuffer*>;
-  return *r;
-}
-
-ThreadBuffer& localBuffer() {
-  thread_local ThreadBuffer* buf = [] {
-    auto* b = new ThreadBuffer;  // leaked on purpose: outlives the thread
-    std::lock_guard<std::mutex> lock(g_registryMutex);
-    b->tid = static_cast<uint32_t>(registry().size() + 1);
-    registry().push_back(b);
-    return b;
-  }();
-  return *buf;
-}
+/// Span events live in the per-thread slots (thread_slot.h).
+constinit threadslot::Sink<Event> g_spans{&threadslot::Slot::events};
 
 }  // namespace
 
-void setEnabled(bool on) {
-  if (!on) g_epoch.fetch_add(1, std::memory_order_seq_cst);
-  g_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-void clear() {
-  // Invalidate open spans FIRST: a span that loads the epoch after this
-  // bump drops itself; one that loaded it before either appends while we
-  // wait for its buffer mutex (and is cleared below) or re-checks under
-  // the mutex after we release it and drops itself.  Either way no
-  // pre-clear span survives into the emptied buffers.
-  g_epoch.fetch_add(1, std::memory_order_seq_cst);
-  std::lock_guard<std::mutex> lock(g_registryMutex);
-  for (ThreadBuffer* b : registry()) {
-    std::lock_guard<std::mutex> bufLock(b->mutex);
-    b->events.clear();
-  }
-}
-
-size_t eventCount() {
-  std::lock_guard<std::mutex> lock(g_registryMutex);
-  size_t n = 0;
-  for (ThreadBuffer* b : registry()) {
-    std::lock_guard<std::mutex> bufLock(b->mutex);
-    n += b->events.size();
-  }
-  return n;
-}
+void setEnabled(bool on) { g_spans.setEnabled(on); }
+bool enabled() { return g_spans.enabled(); }
+void clear() { g_spans.clear(); }
+size_t eventCount() { return g_spans.count(); }
 
 std::vector<Event> snapshot() {
-  std::vector<Event> all;
-  {
-    std::lock_guard<std::mutex> lock(g_registryMutex);
-    for (ThreadBuffer* b : registry()) {
-      std::lock_guard<std::mutex> bufLock(b->mutex);
-      all.insert(all.end(), b->events.begin(), b->events.end());
-    }
-  }
+  std::vector<Event> all = g_spans.collect();
   std::sort(all.begin(), all.end(), [](const Event& a, const Event& b) {
     return a.startUs < b.startUs;
   });
@@ -134,8 +56,8 @@ Span::Span(const char* name, const char* category)
     frPushed_ = true;
   }
   if (enabled()) {
-    epoch_ = g_epoch.load(std::memory_order_seq_cst);
-    startUs_ = nowUs();
+    epoch_ = g_spans.generation();
+    startUs_ = threadslot::nowUs();
     if (startUs_ == 0) startUs_ = 1;  // 0 means "off"; never record it
   }
 }
@@ -144,15 +66,11 @@ Span::~Span() {
   if (frPushed_) flightrec::popSpan();
   if (startUs_ == 0) return;
   if (!enabled()) return;  // disabled mid-span: drop
-  uint64_t end = nowUs();
-  ThreadBuffer& buf = localBuffer();
-  std::lock_guard<std::mutex> lock(buf.mutex);
-  // Re-check under the lock: clear()/setEnabled(false) since entry means
-  // this span belongs to a discarded generation.
-  if (g_epoch.load(std::memory_order_seq_cst) != epoch_) return;
-  buf.events.push_back(
-      {name_, category_, startUs_, end > startUs_ ? end - startUs_ : 0,
-       buf.tid});
+  uint64_t end = threadslot::nowUs();
+  threadslot::Slot& slot = threadslot::local();
+  g_spans.append(slot, epoch_,
+                 {name_, category_, startUs_,
+                  end > startUs_ ? end - startUs_ : 0, slot.tid});
 }
 
 }  // namespace zeus::trace

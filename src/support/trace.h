@@ -11,9 +11,9 @@
 //   * runtime: while tracing is not enabled (the default) a span is one
 //     relaxed atomic load and no clock reads — nothing is allocated and
 //     nothing is locked;
-//   * enabled: events append to a thread-local buffer under that buffer's
-//     own (uncontended) mutex; the registry lock is taken once per thread
-//     and at render/clear time.
+//   * enabled: events append to the calling thread's slot (thread_slot.h)
+//     under that slot's own (uncontended) mutex; the registry lock is
+//     taken on a thread's first record and at render/clear time.
 //
 // Thread-safety contract (docs/observability.md): every function here may
 // be called from any thread at any time.  A span that is still open when

@@ -1,9 +1,10 @@
 // Event-log and flight-recorder unit tests: zeus-log-v1 line shape,
 // request-id tagging, the clear/disable generation rule (same contract
 // as the trace buffer), and the crash-ring dump from normal context.
+// The concurrent cases live with the other telemetry stress tests in
+// trace_stress_test.cpp.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -136,29 +137,6 @@ TEST(EventLog, ClearDropsEverythingAndEmitsKeepWorking) {
   EXPECT_EQ(eventlog::eventCount(), 0u);
   eventlog::emit(Severity::Info, "test", "two");
   EXPECT_EQ(eventlog::eventCount(), 1u);
-}
-
-TEST(EventLog, ConcurrentEmitVsClear) {
-  LogGuard guard;
-  eventlog::setEnabled(true);
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> writers;
-  for (int t = 0; t < 4; ++t) {
-    writers.emplace_back([&stop] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        eventlog::emit(Severity::Debug, "test", "stress");
-      }
-    });
-  }
-  for (int i = 0; i < 50; ++i) {
-    (void)eventlog::eventCount();
-    (void)eventlog::renderJsonl();
-    eventlog::clear();
-  }
-  stop.store(true);
-  for (std::thread& w : writers) w.join();
-  eventlog::clear();
-  EXPECT_EQ(eventlog::eventCount(), 0u);
 }
 
 TEST(FlightRecorder, DumpNowWritesSchemaValidFile) {

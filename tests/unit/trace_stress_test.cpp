@@ -1,16 +1,25 @@
-// Threaded stress tests for the trace and metrics layers — the data
-// races the simulation farm exposed.  Under the ZEUS_SANITIZE=thread
-// preset these run with TSan as the referee; in a plain build they still
-// verify the epoch semantics (a span straddling clear()/setEnabled(false)
-// records nothing) and counter exactness.
+// Threaded stress tests for the telemetry layer — trace spans, the event
+// log, the flight recorder and metrics counters, all recorded through the
+// per-thread slots of src/support/thread_slot.h — and the data races the
+// simulation farm exposed.  Under the ZEUS_SANITIZE=thread preset these
+// run with TSan as the referee; in a plain build they still verify the
+// epoch semantics (a record straddling clear()/setEnabled(false) records
+// nothing), slot reuse and counter exactness.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "src/support/eventlog.h"
 #include "src/support/metrics.h"
+#include "src/support/thread_slot.h"
 #include "src/support/trace.h"
 
 // TSan serializes every instrumented access; unbounded writer loops on a
@@ -40,34 +49,38 @@ constexpr uint64_t kMaxSpansPerWriter = ZEUS_TSAN ? 20000 : 2000000;
 constexpr uint64_t kSpansPerRound = ZEUS_TSAN ? 100 : 500;
 static_assert(2 * kObserverIters * kSpansPerRound <= kMaxSpansPerWriter);
 
-/// Restores the process-wide trace state so the stress tests cannot leak
-/// events into the metrics/phase-timing tests that share this binary.
-struct TraceGuard {
-  TraceGuard() {
+/// Restores the process-wide trace, log and recorder state so the stress
+/// tests cannot leak events into the tests that share this binary.
+struct TelemetryGuard {
+  TelemetryGuard() { reset(); }
+  ~TelemetryGuard() { reset(); }
+  static void reset() {
     trace::setEnabled(false);
     trace::clear();
-  }
-  ~TraceGuard() {
-    trace::setEnabled(false);
-    trace::clear();
+    eventlog::setEnabled(false);
+    eventlog::clear();
+    flightrec::disarm();
   }
 };
 
-TEST(TraceStress, ConcurrentSpansVsSnapshotAndClear) {
-  TraceGuard guard;
+TEST(TelemetryStress, ConcurrentRecordsVsSnapshotAndClear) {
+  // Both slot sinks — trace spans and event-log lines — race their
+  // readers and clear() through the same slot protocol.
+  TelemetryGuard guard;
   trace::setEnabled(true);
+  eventlog::setEnabled(true);
   constexpr int kWriters = 4;
   std::atomic<bool> stop{false};
   // The observer opens a round before every snapshot and every clear and
   // waits until each writer has started writing in it; a writer then
-  // pushes at most kSpansPerRound spans and sleeps until the next round.
-  // Writers are therefore live when each snapshot and clear begins, while
-  // the buffers between clears stay a few thousand events long instead
-  // of growing with however fast the writers are.
+  // records at most kSpansPerRound spans and lines and sleeps until the
+  // next round.  Writers are therefore live when each snapshot and clear
+  // begins, while the buffers between clears stay a few thousand records
+  // long instead of growing with however fast the writers are.
   std::atomic<int> round{0};
   std::atomic<int> entered{0};
   std::vector<std::thread> writers;
-  // Writers hammer the per-thread buffers with short spans...
+  // Writers hammer their slots with short spans and log lines...
   for (int t = 0; t < kWriters; ++t) {
     writers.emplace_back([&stop, &round, &entered] {
       for (int seen = 0;;) {
@@ -76,11 +89,13 @@ TEST(TraceStress, ConcurrentSpansVsSnapshotAndClear) {
         seen = round.load(std::memory_order_acquire);
         {
           ZEUS_TRACE_SPAN("stress-span", "test");
+          eventlog::emit(eventlog::Severity::Debug, "test", "stress");
         }
         entered.fetch_add(1, std::memory_order_release);
         entered.notify_one();
         for (uint64_t n = 1; n < kSpansPerRound; ++n) {
           ZEUS_TRACE_SPAN("stress-span", "test");
+          eventlog::emit(eventlog::Severity::Debug, "test", "stress");
         }
       }
     });
@@ -93,7 +108,7 @@ TEST(TraceStress, ConcurrentSpansVsSnapshotAndClear) {
     }
   };
   // ...while this thread concurrently snapshots, renders and clears the
-  // same buffers.  Before the per-buffer mutex, Span::~Span's push_back
+  // same slots.  Before the per-buffer mutex, Span::~Span's push_back
   // raced the registry-only iteration here; TSan flags any regression.
   for (int i = 0; i < kObserverIters; ++i) {
     openRound();
@@ -104,9 +119,17 @@ TEST(TraceStress, ConcurrentSpansVsSnapshotAndClear) {
     }
     (void)trace::renderChromeJson();
     (void)metrics::phaseTimings();
+    (void)eventlog::eventCount();
+    std::istringstream jsonl(eventlog::renderJsonl());
+    std::string line;
+    std::getline(jsonl, line);  // header
+    while (std::getline(jsonl, line)) {
+      ASSERT_NE(line.find("\"ev\": \"stress\""), std::string::npos) << line;
+    }
     if (i % 10 == 0) {
       openRound();
       trace::clear();
+      eventlog::clear();
     }
   }
   stop.store(true);
@@ -114,11 +137,120 @@ TEST(TraceStress, ConcurrentSpansVsSnapshotAndClear) {
   round.notify_all();
   for (std::thread& w : writers) w.join();
   trace::clear();
+  eventlog::clear();
   EXPECT_EQ(trace::eventCount(), 0u);
+  EXPECT_EQ(eventlog::eventCount(), 0u);
+}
+
+TEST(TelemetryStress, ShortLivedThreadsReuseOneSlot) {
+  // A thread's slot returns to the free list when it exits, so a stream
+  // of short-lived threads (farm workers, serve requests) reuses one slot
+  // instead of allocating a new one per thread — without losing a count,
+  // span or line recorded by the threads that have exited.
+  TelemetryGuard guard;
+  trace::setEnabled(true);
+  eventlog::setEnabled(true);
+  static metrics::Counter counter("slot-reuse-counter");
+  const uint64_t before = counter.value();
+  (void)threadslot::local();  // this thread's own slot
+  const size_t slotsBefore = threadslot::count();
+  constexpr int kThreads = 200;
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread([] {
+      counter.add();
+      ZEUS_TRACE_SPAN("short-lived", "test");
+      eventlog::emit(eventlog::Severity::Debug, "test", "short-lived");
+    }).join();
+    // Live threads: this one (already counted) plus the one just joined.
+    ASSERT_LE(threadslot::count(), slotsBefore + 1) << "thread " << i;
+  }
+  EXPECT_EQ(counter.value(), before + kThreads);
+
+  std::vector<trace::Event> events = trace::snapshot();
+  ASSERT_EQ(events.size(), size_t{kThreads});
+  std::set<uint32_t> tids;
+  for (const trace::Event& e : events) {
+    EXPECT_STREQ(e.name, "short-lived");
+    tids.insert(e.tid);
+  }
+  EXPECT_EQ(tids.size(), 1u);  // one reused slot, one tid
+  EXPECT_EQ(eventlog::eventCount(), size_t{kThreads});
+
+  trace::clear();
+  eventlog::clear();
+  EXPECT_EQ(trace::eventCount(), 0u);
+  EXPECT_EQ(eventlog::eventCount(), 0u);
+  EXPECT_EQ(counter.value(), before + kThreads);  // clear() keeps counts
+}
+
+/// The one-object-per-line records of a zeus-crash-v1 list section.
+std::vector<std::string> recordLines(const std::string& section) {
+  std::vector<std::string> out;
+  std::istringstream in(section);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("  {", 0) == 0) out.push_back(line);
+  }
+  return out;
+}
+
+TEST(TelemetryStress, FlightRecorderRingVsConcurrentDumps) {
+  // Writers fill the crash ring and push/pop nested spans on their slots'
+  // open-span stacks while this thread writes dumps from normal context.
+  TelemetryGuard guard;
+  const std::string path =
+      testing::TempDir() + "/zeus_flightrec_stress.json";
+  flightrec::arm(path.c_str());
+  constexpr int kWriters = 4;
+  std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&stop, &started, t] {
+      started.fetch_add(1, std::memory_order_release);
+      for (uint64_t n = 0; n < kMaxSpansPerWriter &&
+                           !stop.load(std::memory_order_relaxed);
+           ++n) {
+        ZEUS_TRACE_SPAN("ring-outer", "test");
+        ZEUS_TRACE_SPAN("ring-inner", "test");
+        eventlog::emit(eventlog::Severity::Info, "test", "ring-write",
+                       {eventlog::num("writer", uint64_t(t))});
+      }
+    });
+  }
+  while (started.load(std::memory_order_acquire) < kWriters) {
+    std::this_thread::yield();
+  }
+  for (int i = 0; i < kObserverIters; ++i) {
+    ASSERT_TRUE(flightrec::dumpNow("stress"));
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    const std::string dump = ss.str();
+    for (const char* key :
+         {"\"schema\": \"zeus-crash-v1\"", "\"reason\": \"stress\"",
+          "\"signal\": 0", "\"build\": ", "\"dropped\": ",
+          "\"events\": [", "\"open_spans\": ["}) {
+      ASSERT_NE(dump.find(key), std::string::npos) << key << "\n" << dump;
+    }
+    // Every dumped event and open span is one the writers produced.
+    const size_t spansAt = dump.find("\"open_spans\": [");
+    for (const std::string& rec : recordLines(dump.substr(0, spansAt))) {
+      EXPECT_NE(rec.find("\"ev\": \"ring-write\""), std::string::npos)
+          << rec;
+    }
+    for (const std::string& rec : recordLines(dump.substr(spansAt))) {
+      EXPECT_TRUE(rec.find("\"name\": \"ring-outer\"") != std::string::npos ||
+                  rec.find("\"name\": \"ring-inner\"") != std::string::npos)
+          << rec;
+    }
+  }
+  stop.store(true);
+  for (std::thread& w : writers) w.join();
+  std::remove(path.c_str());
 }
 
 TEST(TraceStress, SpanStraddlingClearRecordsNothing) {
-  TraceGuard guard;
+  TelemetryGuard guard;
   trace::setEnabled(true);
   {
     ZEUS_TRACE_SPAN("before-clear", "test");
@@ -134,7 +266,7 @@ TEST(TraceStress, SpanStraddlingClearRecordsNothing) {
 }
 
 TEST(TraceStress, SpanStraddlingDisableRecordsNothing) {
-  TraceGuard guard;
+  TelemetryGuard guard;
   trace::setEnabled(true);
   auto open = std::make_unique<trace::Span>("straddler", "test");
   trace::setEnabled(false);
@@ -151,7 +283,7 @@ TEST(TraceStress, SpanStraddlingDisableRecordsNothing) {
 }
 
 TEST(TraceStress, ConcurrentEnableDisableClear) {
-  TraceGuard guard;
+  TelemetryGuard guard;
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int t = 0; t < 3; ++t) {
@@ -178,7 +310,7 @@ TEST(TraceStress, PhaseTimingsVsConcurrentClear) {
   // races writers AND a dedicated clear() thread.  The aggregation must
   // never see torn events (name/category stay intact) and must not
   // deadlock against clear's registry+buffer lock order.
-  TraceGuard guard;
+  TelemetryGuard guard;
   trace::setEnabled(true);
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
