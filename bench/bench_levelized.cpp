@@ -13,7 +13,8 @@
 // with all observability off ("disabled") and with tracing + activity
 // profiling on ("enabled") — and writes a zeus-bench-overhead-v1 JSON;
 // the bench_metrics_smoke ctest asserts disabled stays within 5% of bare
-// (the zero-overhead-when-disabled claim).
+// (the zero-overhead-when-disabled claim).  Its cycle count grows from
+// --cycles until every timed rep lasts at least 0.2 s.
 //
 // Usage: bench_levelized [--cycles N] [--width W] [--out FILE] [--overhead]
 #include <algorithm>
@@ -254,6 +255,16 @@ bool runOptBench(int width, uint64_t cycles, OptBenchResult& r) {
 constexpr double kFarmRowMinSeconds = 0.2;
 constexpr int kFarmSweeps = 3;
 
+/// The cycle count to try next when a run of `cycles` lasted `seconds`
+/// but must last at least `minSeconds`: aim 1.5x past the floor, growing
+/// by at least one cycle and at most 64-fold per try.
+uint64_t grownCycles(uint64_t cycles, double seconds, double minSeconds) {
+  const double factor = seconds > 0 ? 1.5 * minSeconds / seconds : 64;
+  return std::max<uint64_t>(
+      cycles + 1, static_cast<uint64_t>(static_cast<double>(cycles) *
+                                        std::min(factor, 64.0)));
+}
+
 struct FarmThreadRun {
   size_t threads = 0;
   double seconds = 0;
@@ -322,12 +333,7 @@ bool runFarmBench(const zeus::SimGraph& g, int width, FarmBenchResult& r) {
   // Size on the fastest row (4 threads) with headroom, then re-size any
   // sweep whose shortest row still came in under the floor.
   auto grow = [&opts](double seconds) {
-    const double want = 1.5 * kFarmRowMinSeconds;
-    const double factor = seconds > 0 ? want / seconds : 64;
-    opts.cycles = std::max<uint64_t>(
-        opts.cycles + 1,
-        static_cast<uint64_t>(static_cast<double>(opts.cycles) *
-                              std::min(factor, 64.0)));
+    opts.cycles = grownCycles(opts.cycles, seconds, kFarmRowMinSeconds);
   };
   opts.cycles = 1;
   opts.threads = 4;
@@ -490,64 +496,119 @@ void emitJson(const std::string& path, int width, uint64_t cycles,
 
 /// Raw levelized loop: evaluator + two-phase register latch, nothing
 /// else.  This is the uninstrumented wall-clock the facade competes with.
-double timeBare(const zeus::SimGraph& g, uint64_t cycles) {
-  zeus::LevelizedEvaluator eval(g);
-  const zeus::Netlist& nl = g.design->netlist;
-  std::vector<zeus::Logic> inputValues(g.denseCount, zeus::Logic::Undef);
-  std::vector<char> inputSet(g.denseCount, 0);
-  std::vector<zeus::Logic> regValues(g.regNodes.size(), zeus::Logic::Undef);
-  uint32_t clk = g.dense(g.design->clk);
-  inputValues[clk] = zeus::Logic::One;
-  inputSet[clk] = 1;
-  uint32_t rset = g.dense(g.design->rset);
-  inputValues[rset] = zeus::Logic::Zero;
-  inputSet[rset] = 1;
-  zeus::CycleSeeds seeds;
-  seeds.inputValues = &inputValues;
-  seeds.inputSet = &inputSet;
-  seeds.regValues = &regValues;
-  zeus::CycleResult result;
-  const Clock::time_point t0 = Clock::now();
-  for (uint64_t i = 0; i < cycles; ++i) {
-    eval.evaluate(seeds, result);
-    for (size_t k = 0; k < g.regNodes.size(); ++k) {
-      const zeus::Node& reg = nl.node(g.regNodes[k]);
-      uint32_t in = g.dense(reg.inputs[0]);
-      if (result.activeCounts[in] > 0) {
-        zeus::Logic v = result.netValues[in];
-        regValues[k] = v == zeus::Logic::NoInfl ? zeus::Logic::Undef : v;
+class BareLoop {
+ public:
+  explicit BareLoop(const zeus::SimGraph& g)
+      : g_(g),
+        eval_(g),
+        inputValues_(g.denseCount, zeus::Logic::Undef),
+        inputSet_(g.denseCount, 0),
+        regValues_(g.regNodes.size(), zeus::Logic::Undef) {
+    const uint32_t clk = g.dense(g.design->clk);
+    inputValues_[clk] = zeus::Logic::One;
+    inputSet_[clk] = 1;
+    const uint32_t rset = g.dense(g.design->rset);
+    inputValues_[rset] = zeus::Logic::Zero;
+    inputSet_[rset] = 1;
+    seeds_.inputValues = &inputValues_;
+    seeds_.inputSet = &inputSet_;
+    seeds_.regValues = &regValues_;
+  }
+
+  void run(uint64_t cycles) {
+    const zeus::Netlist& nl = g_.design->netlist;
+    for (uint64_t i = 0; i < cycles; ++i) {
+      eval_.evaluate(seeds_, result_);
+      for (size_t k = 0; k < g_.regNodes.size(); ++k) {
+        const zeus::Node& reg = nl.node(g_.regNodes[k]);
+        uint32_t in = g_.dense(reg.inputs[0]);
+        if (result_.activeCounts[in] > 0) {
+          zeus::Logic v = result_.netValues[in];
+          regValues_[k] = v == zeus::Logic::NoInfl ? zeus::Logic::Undef : v;
+        }
       }
     }
   }
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
-/// The same per-cycle work through the Simulation facade.  Inputs stay
-/// constant (the levelized schedule walks every node regardless), so the
-/// measured difference is exactly the facade + instrumentation cost.
-double timeFacade(const zeus::SimGraph& g, uint64_t cycles, bool observed) {
+ private:
+  const zeus::SimGraph& g_;
+  zeus::LevelizedEvaluator eval_;
+  std::vector<zeus::Logic> inputValues_;
+  std::vector<char> inputSet_;
+  std::vector<zeus::Logic> regValues_;
+  zeus::CycleSeeds seeds_;
+  zeus::CycleResult result_;
+};
+
+/// Every arm of every rep lasts at least this long: the reps are sized by
+/// time, as the farm sweep is, because a ratio of two ~10 ms timings
+/// swings by 10% with one scheduler hiccup.
+constexpr double kOverheadRepMinSeconds = 0.2;
+constexpr int kOverheadReps = 7;
+/// Within a rep the three arms take turns every this many cycles (about a
+/// millisecond each), so all three see the same host speed: a shared
+/// host's speed can swing by 2x within a second, which decided the
+/// comparison when each arm ran as one block.
+constexpr uint64_t kOverheadChunkCycles = 128;
+
+struct OverheadRep {
+  double bare = 1e99;      ///< raw evaluator loop
+  double disabled = 1e99;  ///< Simulation facade, observability off
+  double enabled = 1e99;   ///< tracing + activity profiling on
+};
+
+/// One rep: `cycles` cycles on each arm, interleaved chunk by chunk.
+/// Inputs stay constant (the levelized schedule walks every node
+/// regardless), so the measured difference is exactly the facade +
+/// instrumentation cost.
+OverheadRep timeOverheadRep(const zeus::SimGraph& g, uint64_t cycles) {
+  BareLoop bare(g);
   zeus::Simulation::Options opts;
   opts.evaluator = zeus::EvaluatorKind::Levelized;
-  opts.profileActivity = observed;
-  zeus::Simulation sim(g, opts);
-  const Clock::time_point t0 = Clock::now();
-  sim.step(cycles);
-  return std::chrono::duration<double>(Clock::now() - t0).count();
+  zeus::Simulation disabled(g, opts);
+  opts.profileActivity = true;
+  zeus::Simulation enabled(g, opts);
+  auto timed = [](auto&& run) {
+    const Clock::time_point t0 = Clock::now();
+    run();
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  OverheadRep r{0, 0, 0};
+  for (uint64_t done = 0; done < cycles; done += kOverheadChunkCycles) {
+    const uint64_t n = std::min(kOverheadChunkCycles, cycles - done);
+    zeus::trace::setEnabled(false);
+    r.bare += timed([&] { bare.run(n); });
+    r.disabled += timed([&] { disabled.step(n); });
+    zeus::trace::setEnabled(true);
+    r.enabled += timed([&] { enabled.step(n); });
+  }
+  zeus::trace::setEnabled(false);
+  return r;
 }
 
 int runOverhead(const zeus::SimGraph& g, uint64_t cycles,
                 const std::string& outPath) {
-  // Best-of-5, interleaved, so scheduler hiccups (or a parallel build on
-  // the same machine) cannot decide the comparison either way.
-  double bare = 1e99, disabled = 1e99, enabled = 1e99;
-  for (int rep = 0; rep < 5; ++rep) {
-    zeus::trace::setEnabled(false);
-    bare = std::min(bare, timeBare(g, cycles));
-    disabled = std::min(disabled, timeFacade(g, cycles, false));
-    zeus::trace::setEnabled(true);
-    enabled = std::min(enabled, timeFacade(g, cycles, true));
+  // Best of N reps (the one with the least bare + disabled time), so a
+  // rep spoilt by a scheduler hiccup or a parallel build cannot decide
+  // the comparison.  The reps are sized by time; `cycles` is only the
+  // starting point.
+  OverheadRep best;
+  for (int kept = 0; kept < kOverheadReps;) {
+    const OverheadRep r = timeOverheadRep(g, cycles);
+    const double shortest = std::min({r.bare, r.disabled, r.enabled});
+    if (shortest < kOverheadRepMinSeconds) {
+      // Too short (the first reps, or the host sped up): grow and start
+      // over, so every reported rep shares one cycle count.
+      cycles = grownCycles(cycles, shortest, kOverheadRepMinSeconds);
+      best = OverheadRep{};
+      kept = 0;
+      continue;
+    }
+    if (r.bare + r.disabled < best.bare + best.disabled) best = r;
+    ++kept;
   }
-  zeus::trace::setEnabled(false);
+  const double bare = best.bare, disabled = best.disabled;
+  const double enabled = best.enabled;
   const double disabledOverBare = bare > 0 ? disabled / bare : 0;
   const double enabledOverBare = bare > 0 ? enabled / bare : 0;
 

@@ -8,8 +8,9 @@ if(NOT BENCH OR NOT JSON)
   message(FATAL_ERROR "pass -DBENCH=<binary> and -DJSON=<output path>")
 endif()
 
-# Enough cycles that a run takes tens of milliseconds (timing noise on a
-# loaded CI box swamps microsecond-scale runs), small enough to stay fast.
+# --cycles is only the starting point: the bench grows the cycle count
+# until every timed rep of every arm lasts at least 0.2 s (checked below),
+# because a ratio of two ~10 ms timings is mostly scheduler noise.
 execute_process(
   COMMAND ${BENCH} --overhead --cycles 8192 --width 32 --out ${JSON}
   RESULT_VARIABLE rv
@@ -34,6 +35,9 @@ foreach(field bare_seconds disabled_seconds enabled_seconds
   endif()
   if(v LESS_EQUAL 0)
     message(FATAL_ERROR "'${field}' not positive: ${v}")
+  endif()
+  if(field MATCHES "_seconds$" AND v LESS 0.2)
+    message(FATAL_ERROR "'${field}' is ${v} s (< 0.2 s): too short to time")
   endif()
 endforeach()
 

@@ -803,8 +803,7 @@ int main(int argc, char** argv) {
     } else {
       for (const zeus::Port& p : design->ports) {
         if (p.mode == zeus::ast::ParamMode::In) {
-          sim.setInput(p.name, std::vector<zeus::Logic>(p.nets.size(),
-                                                        zeus::Logic::Zero));
+          sim.setInputUint(sim.port(p.name), 0);
         }
       }
       sim.setRset(true);
@@ -858,9 +857,13 @@ int main(int argc, char** argv) {
       }
       writeCheckpoint();  // final (or budget-trip) resumable state
     }
+    std::vector<zeus::Logic> values;
     for (const zeus::Port& p : design->ports) {
+      const zeus::PortHandle h = sim.port(p.name);
+      values.resize(h.width);
+      sim.outputBits(h, values);
       std::string bits;
-      for (zeus::Logic v : sim.outputBits(p.name)) {
+      for (zeus::Logic v : values) {
         bits += logicName(v);
         bits += ' ';
       }

@@ -7,6 +7,32 @@
 
 namespace zeus {
 
+namespace {
+
+/// Transposes a 64x64 bit matrix in place: afterwards bit j of m[i] is
+/// what bit i of m[j] was.  Six rounds swap ever smaller off-diagonal
+/// blocks (Hacker's Delight, 7-3): 192 masked word-pair swaps instead of
+/// 4096 single-bit moves.
+void transpose64(std::array<uint64_t, 64>& m) {
+  uint64_t mask = 0x00000000FFFFFFFFull;
+  for (unsigned j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const uint64_t t = ((m[k] >> j) ^ m[k | j]) & mask;
+      m[k | j] ^= t;
+      m[k] ^= t << j;
+    }
+  }
+}
+
+/// Writes two-valued bits into the lanes of `lanes`: One where `ones`
+/// has a 1, Zero elsewhere; other lanes keep their values.
+inline void writeLanes(LanePlanes& p, uint64_t lanes, uint64_t ones) {
+  p.p0 = (p.p0 & ~lanes) | (lanes & ~ones);
+  p.p1 = (p.p1 & ~lanes) | (lanes & ones);
+}
+
+}  // namespace
+
 BatchSimulation::BatchSimulation(const SimGraph& graph, size_t lanes)
     : g_(graph), lanes_(lanes), eval_(graph) {
   if (g_.hasCycle) {
@@ -45,12 +71,6 @@ void BatchSimulation::reset() {
   evaluated_ = false;
 }
 
-const Port* BatchSimulation::findPortOrThrow(const std::string& name) const {
-  const Port* p = g_.design->findPort(name);
-  if (!p) throw std::invalid_argument("no port named '" + name + "'");
-  return p;
-}
-
 void BatchSimulation::checkLane(size_t lane) const {
   if (lane >= lanes_) {
     throw std::invalid_argument("lane " + std::to_string(lane) +
@@ -61,51 +81,99 @@ void BatchSimulation::checkLane(size_t lane) const {
 
 void BatchSimulation::setInput(size_t lane, const std::string& port,
                                Logic v) {
-  setInput(lane, port, std::vector<Logic>{v});
+  setInput(lane, this->port(port), v);
 }
 
 void BatchSimulation::setInput(size_t lane, const std::string& port,
                                const std::vector<Logic>& bits) {
-  checkLane(lane);
-  const Port* p = findPortOrThrow(port);
-  if (bits.size() != p->nets.size()) {
-    throw std::invalid_argument("port '" + p->name + "' has " +
-                                std::to_string(p->nets.size()) +
-                                " bit(s), got " +
-                                std::to_string(bits.size()));
-  }
-  for (size_t i = 0; i < bits.size(); ++i) {
-    laneSet(inputValues_[g_.dense(p->nets[i])],
-            static_cast<uint32_t>(lane), bits[i]);
-  }
+  setInput(lane, this->port(port), bits);
 }
 
 void BatchSimulation::setInputUint(size_t lane, const std::string& port,
                                    uint64_t value) {
-  const Port* p = findPortOrThrow(port);
-  std::vector<Logic> bits(p->nets.size());
-  for (size_t i = 0; i < bits.size(); ++i) {
-    // Ports wider than 64 bits get zeros above bit 63 (shifting by >= 64
-    // is undefined, not zero).
-    bits[i] = logicFromBool(i < 64 && ((value >> i) & 1));
-  }
-  setInput(lane, port, bits);
+  setInputUint(lane, this->port(port), value);
 }
 
 void BatchSimulation::setInputAll(const std::string& port, Logic v) {
-  const Port* p = findPortOrThrow(port);
-  for (NetId n : p->nets) {
-    inputValues_[g_.dense(n)] = lanesBroadcast(v, ~uint64_t{0});
-  }
+  setInputAll(this->port(port), v);
 }
 
 void BatchSimulation::clearInput(size_t lane, const std::string& port) {
+  clearInput(lane, this->port(port));
+}
+
+void BatchSimulation::setInput(size_t lane, PortHandle port, Logic v) {
+  setInput(lane, port, std::span<const Logic>(&v, 1));
+}
+
+void BatchSimulation::setInput(size_t lane, PortHandle port,
+                               std::span<const Logic> bits) {
   checkLane(lane);
-  const Port* p = findPortOrThrow(port);
-  for (NetId n : p->nets) {
+  g_.checkWidth(port, bits.size());
+  const std::vector<uint32_t>& slots = g_.slotsOf(port).dense;
+  for (size_t i = 0; i < bits.size(); ++i) {
+    laneSet(inputValues_[slots[i]], static_cast<uint32_t>(lane), bits[i]);
+  }
+}
+
+void BatchSimulation::setInputUint(size_t lane, PortHandle port,
+                                   uint64_t value) {
+  checkLane(lane);
+  const std::vector<uint32_t>& slots = g_.slotsOf(port).dense;
+  const uint64_t bit = uint64_t{1} << lane;
+  for (size_t i = 0; i < slots.size(); ++i, value >>= 1) {
+    // Ports wider than 64 bits get zeros above bit 63, as `value` has
+    // been shifted empty by then.
+    writeLanes(inputValues_[slots[i]], bit, 0 - (value & 1));
+  }
+}
+
+void BatchSimulation::setInputAll(PortHandle port, Logic v) {
+  for (uint32_t dn : g_.slotsOf(port).dense) {
+    inputValues_[dn] = lanesBroadcast(v, laneMask_);
+  }
+}
+
+void BatchSimulation::setInputAll(PortHandle port,
+                                  std::span<const Logic> bits) {
+  g_.checkWidth(port, bits.size());
+  const std::vector<uint32_t>& slots = g_.slotsOf(port).dense;
+  for (size_t i = 0; i < bits.size(); ++i) {
+    inputValues_[slots[i]] = lanesBroadcast(bits[i], laneMask_);
+  }
+}
+
+void BatchSimulation::clearInput(size_t lane, PortHandle port) {
+  checkLane(lane);
+  const uint64_t keep = ~(uint64_t{1} << lane);
+  for (uint32_t dn : g_.slotsOf(port).dense) {
     // A cleared lane carries NOINFL = (0,0): no contribution.
-    laneSet(inputValues_[g_.dense(n)], static_cast<uint32_t>(lane),
-            Logic::NoInfl);
+    inputValues_[dn].p0 &= keep;
+    inputValues_[dn].p1 &= keep;
+  }
+}
+
+void BatchSimulation::setInputUintLanes(PortHandle port,
+                                        std::span<const uint64_t> values) {
+  const std::vector<uint32_t>& slots = g_.slotsOf(port).dense;
+  const size_t words = (slots.size() + 63) / 64;  // per lane
+  if (values.size() != lanes_ * words) {
+    throw std::invalid_argument(
+        "port '" + g_.portName(port) + "' takes " + std::to_string(words) +
+        " word(s) per lane for " + std::to_string(lanes_) +
+        " lane(s), got " + std::to_string(values.size()));
+  }
+  std::array<uint64_t, 64> ones;
+  for (size_t k = 0; k < words; ++k) {
+    ones.fill(0);
+    for (size_t lane = 0; lane < lanes_; ++lane) {
+      ones[lane] = values[lane * words + k];
+    }
+    transpose64(ones);  // ones[i] bit L = bit 64k + i of lane L's value
+    const size_t end = std::min(slots.size(), 64 * k + 64);
+    for (size_t i = 64 * k; i < end; ++i) {
+      writeLanes(inputValues_[slots[i]], laneMask_, ones[i % 64]);
+    }
   }
 }
 
@@ -136,12 +204,21 @@ void BatchSimulation::injectFault(size_t lane, const FaultSpec& fault) {
     throw std::invalid_argument("fault targets a net outside this design");
   }
   faults_.emplace_back(static_cast<uint32_t>(lane), fault);
+  planUntil_ = 0;
 }
 
 void BatchSimulation::buildFaultPlan() {
-  faultPlan_.resize(g_.denseCount);  // assign() clears previous cycle too
+  faultPlan_.resize(g_.denseCount);  // assign() clears the old plan too
   faultPlan_.any = false;
+  planFrom_ = cycle_;
+  planUntil_ = ~uint64_t{0};
   for (const auto& [lane, f] : faults_) {
+    // The next cycle at which this fault switches on or off.
+    if (cycle_ < f.fromCycle) {
+      planUntil_ = std::min(planUntil_, f.fromCycle);
+    } else if (cycle_ <= f.toCycle && f.toCycle != ~uint64_t{0}) {
+      planUntil_ = std::min(planUntil_, f.toCycle + 1);
+    }
     if (!f.activeAt(cycle_)) continue;
     uint64_t bit = uint64_t{1} << lane;
     switch (faultModeOf(f.kind)) {
@@ -261,7 +338,7 @@ void BatchSimulation::runCycle(bool latch) {
   seeds.rngStates = &rngStates_;
   seeds.laneMask = laneMask_;
   if (!faults_.empty()) {
-    buildFaultPlan();
+    if (cycle_ < planFrom_ || cycle_ >= planUntil_) buildFaultPlan();
     if (faultPlan_.any) seeds.faults = &faultPlan_;
   }
   eval_.evaluate(seeds, result_);
@@ -318,6 +395,14 @@ Logic BatchSimulation::netValue(size_t lane, NetId net) const {
   return laneValue(result_.netValues[dn], static_cast<uint32_t>(lane));
 }
 
+LanePlanes BatchSimulation::lanePlanes(NetId net) const {
+  if (!evaluated_) return lanesBroadcast(Logic::Undef, laneMask_);
+  const uint32_t dn = g_.dense(net);
+  if (dn == SimGraph::kNoDense) return {};  // dropped class: NOINFL
+  const LanePlanes& p = result_.netValues[dn];
+  return {p.p0 & laneMask_, p.p1 & laneMask_};
+}
+
 Logic BatchSimulation::netValueByName(size_t lane,
                                       const std::string& name) const {
   NetId id = g_.design->netlist.findByName(name);
@@ -327,25 +412,101 @@ Logic BatchSimulation::netValueByName(size_t lane,
 
 std::vector<Logic> BatchSimulation::outputBits(
     size_t lane, const std::string& port) const {
-  const Port* p = findPortOrThrow(port);
-  std::vector<Logic> out;
-  out.reserve(p->nets.size());
-  for (size_t i = 0; i < p->nets.size(); ++i) {
-    Logic v = netValue(lane, p->nets[i]);
-    // Observation of a boolean port converts NOINFL to UNDEF (§4.1).
-    if (v == Logic::NoInfl && p->kinds[i] == BasicKind::Boolean)
-      v = Logic::Undef;
-    out.push_back(v);
-  }
+  const PortHandle h = this->port(port);
+  std::vector<Logic> out(h.width);
+  outputBits(lane, h, out);
   return out;
 }
 
 Logic BatchSimulation::output(size_t lane, const std::string& port) const {
-  std::vector<Logic> bits = outputBits(lane, port);
-  if (bits.size() != 1) {
-    throw std::invalid_argument("port '" + port + "' is not a single bit");
+  return output(lane, this->port(port));
+}
+
+std::optional<uint64_t> BatchSimulation::outputUint(
+    size_t lane, const std::string& port) const {
+  return outputUint(lane, this->port(port));
+}
+
+Logic BatchSimulation::observe(const SimGraph::PortSlots& ps, size_t i,
+                               size_t lane) const {
+  if (!evaluated_) return Logic::Undef;
+  const LanePlanes& p = result_.netValues[ps.dense[i]];
+  uint64_t b0 = (p.p0 >> lane) & 1;
+  uint64_t b1 = (p.p1 >> lane) & 1;
+  // Observation of a boolean port converts NOINFL to UNDEF (§4.1).
+  const uint64_t undef = ((b0 | b1) ^ 1) & (ps.boolMask[i / 64] >> (i % 64));
+  b0 |= undef & 1;
+  b1 |= undef & 1;
+  return logicOfPlanes(b0, b1);
+}
+
+void BatchSimulation::outputBits(size_t lane, PortHandle port,
+                                 std::span<Logic> out) const {
+  checkLane(lane);
+  g_.checkWidth(port, out.size());
+  const SimGraph::PortSlots& ps = g_.slotsOf(port);
+  for (size_t i = 0; i < out.size(); ++i) out[i] = observe(ps, i, lane);
+}
+
+Logic BatchSimulation::output(size_t lane, PortHandle port) const {
+  checkLane(lane);
+  const SimGraph::PortSlots& ps = g_.slotsOf(port);
+  if (ps.dense.size() != 1) {
+    throw std::invalid_argument("port '" + g_.portName(port) +
+                                "' is not a single bit");
   }
-  return bits[0];
+  return observe(ps, 0, lane);
+}
+
+std::optional<uint64_t> BatchSimulation::outputUint(size_t lane,
+                                                    PortHandle port) const {
+  checkLane(lane);
+  const std::vector<uint32_t>& slots = g_.slotsOf(port).dense;
+  if (!evaluated_) {
+    if (slots.empty()) return 0;
+    return std::nullopt;  // every bit reads UNDEF
+  }
+  // Defined lanes have exactly one plane set: (1,1) = UNDEF and
+  // (0,0) = NOINFL are undefined.  Above bit 63 only a 0 fits.
+  uint64_t defined = ~uint64_t{0};
+  uint64_t value = 0;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const LanePlanes& p = result_.netValues[slots[i]];
+    defined &= p.p0 ^ p.p1;
+    if (i < 64) value |= ((p.p1 >> lane) & 1) << i;
+    else defined &= ~p.p1;
+  }
+  if (!((defined >> lane) & 1)) return std::nullopt;
+  return value;
+}
+
+uint64_t BatchSimulation::outputUintLanes(PortHandle port,
+                                          std::span<uint64_t> values) const {
+  if (values.size() != lanes_) {
+    throw std::invalid_argument("expected one value per lane (" +
+                                std::to_string(lanes_) + "), got " +
+                                std::to_string(values.size()));
+  }
+  const std::vector<uint32_t>& slots = g_.slotsOf(port).dense;
+  if (!evaluated_) {
+    std::fill(values.begin(), values.end(), 0);
+    return slots.empty() ? laneMask_ : 0;  // every bit reads UNDEF
+  }
+  std::array<uint64_t, 64> ones{};
+  uint64_t defined = laneMask_;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const LanePlanes& p = result_.netValues[slots[i]];
+    // Defined lanes have exactly one plane set; above bit 63 only a 0
+    // fits.
+    defined &= p.p0 ^ p.p1;
+    if (i < 64) ones[i] = p.p1;
+    else defined &= ~p.p1;
+  }
+  transpose64(ones);  // ones[L] = lane L's value
+  for (size_t lane = 0; lane < values.size(); ++lane) {
+    values[lane] = ones[lane] & (0 - ((defined >> lane) & 1));
+  }
+  return defined;
 }
 
 metrics::SimCounters BatchSimulation::metricsCounters() const {
@@ -368,20 +529,6 @@ metrics::SimCounters BatchSimulation::metricsCounters() const {
     if (e.code == Diag::SimContention) ++c.contentionFaults;
   }
   return c;
-}
-
-std::optional<uint64_t> BatchSimulation::outputUint(
-    size_t lane, const std::string& port) const {
-  std::vector<Logic> bits = outputBits(lane, port);
-  uint64_t value = 0;
-  for (size_t i = 0; i < bits.size(); ++i) {
-    if (!isDefined(bits[i])) return std::nullopt;
-    if (bits[i] == Logic::One) {
-      if (i >= 64) return std::nullopt;  // doesn't fit a uint64_t
-      value |= uint64_t{1} << i;
-    }
-  }
-  return value;
 }
 
 }  // namespace zeus

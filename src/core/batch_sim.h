@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,15 +33,40 @@ class BatchSimulation {
   /// per-lane RANDOM streams to their defaults (mirrors Simulation::reset).
   void reset();
 
+  /// Resolves a port once for the handle overloads below (see
+  /// PortHandle).  Throws std::invalid_argument on an unknown name.
+  [[nodiscard]] PortHandle port(const std::string& name) const {
+    return g_.port(name);
+  }
+
   // -- driving inputs (persist until changed) --
+  // Each string overload resolves the port and forwards to its handle
+  // overload; the handle overloads write each bit with masks, without
+  // allocating or branching on the value.
   void setInput(size_t lane, const std::string& port, Logic v);
   void setInput(size_t lane, const std::string& port,
                 const std::vector<Logic>& bits);
   /// Sets an array port from an unsigned value; port index 1 is the LSB.
   void setInputUint(size_t lane, const std::string& port, uint64_t value);
-  /// Drives the same value on every lane.
+  /// Drives the same value on every bit of the port, on every lane.
   void setInputAll(const std::string& port, Logic v);
   void clearInput(size_t lane, const std::string& port);
+  void setInput(size_t lane, PortHandle port, Logic v);
+  void setInput(size_t lane, PortHandle port, std::span<const Logic> bits);
+  void setInputUint(size_t lane, PortHandle port, uint64_t value);
+  void setInputAll(PortHandle port, Logic v);
+  void clearInput(size_t lane, PortHandle port);
+
+  // -- whole-port lane words --
+  /// Sets every lane of the port at once, through a 64x64 bit transpose
+  /// per 64 port bits.  `values` holds one word per lane for a port of up
+  /// to 64 bits, and ceil(width / 64) words per lane, least significant
+  /// first, for a wider one: lane L's words start at values[L * words].
+  /// Port index 1 is the LSB, as in setInputUint.
+  void setInputUintLanes(PortHandle port, std::span<const uint64_t> values);
+  /// Broadcast: drives the port value `bits` on every lane.
+  void setInputAll(PortHandle port, std::span<const Logic> bits);
+
   void setRset(bool active);               ///< all lanes
   void setRset(size_t lane, bool active);  ///< one lane
   /// Seed for lane `lane`'s RANDOM stream: the lane then draws the same
@@ -92,12 +118,29 @@ class BatchSimulation {
   void evaluateOnly();
 
   // -- observing --
+  // String overloads resolve and forward, as the setters do.  Reads
+  // gather a lane's bits with masks and AND up a "defined" mask rather
+  // than branching per bit.
   [[nodiscard]] Logic output(size_t lane, const std::string& port) const;
   [[nodiscard]] std::vector<Logic> outputBits(size_t lane,
                                               const std::string& port) const;
+  /// Value of an array port as an unsigned number; nullopt when any bit is
+  /// UNDEF or NOINFL, or when the value does not fit 64 bits.
   [[nodiscard]] std::optional<uint64_t> outputUint(
       size_t lane, const std::string& port) const;
+  [[nodiscard]] Logic output(size_t lane, PortHandle port) const;
+  /// Fills `out` (out.size() == the port width) with lane `lane`'s bits.
+  void outputBits(size_t lane, PortHandle port, std::span<Logic> out) const;
+  [[nodiscard]] std::optional<uint64_t> outputUint(size_t lane,
+                                                   PortHandle port) const;
+  /// Every lane's outputUint at once (values.size() == lanes()), through a
+  /// 64x64 bit transpose.  Returns the mask of lanes whose value is
+  /// defined and fits; the other lanes' values read 0.
+  uint64_t outputUintLanes(PortHandle port, std::span<uint64_t> values) const;
   [[nodiscard]] Logic netValue(size_t lane, NetId net) const;
+  /// Every lane's raw value of `net` (netValue for all lanes at once, in
+  /// the two-plane encoding); lanes beyond lanes() read NOINFL.
+  [[nodiscard]] LanePlanes lanePlanes(NetId net) const;
   [[nodiscard]] Logic netValueByName(size_t lane,
                                      const std::string& name) const;
 
@@ -120,8 +163,12 @@ class BatchSimulation {
   [[nodiscard]] const Design& design() const { return *g_.design; }
 
  private:
-  const Port* findPortOrThrow(const std::string& name) const;
   void checkLane(size_t lane) const;
+  /// Lane `lane`'s observed value of port bit i: NOINFL reads UNDEF on a
+  /// boolean port (§4.1), and every bit reads UNDEF before the first
+  /// evaluation.
+  [[nodiscard]] Logic observe(const SimGraph::PortSlots& ps, size_t i,
+                              size_t lane) const;
   void runCycle(bool latch);
   void seedDefaults();
   void buildFaultPlan();
@@ -139,7 +186,13 @@ class BatchSimulation {
   std::vector<SimError> errors_;
   bool evaluated_ = false;
   std::vector<std::pair<uint32_t, FaultSpec>> faults_;  ///< (lane, fault)
-  BatchFaultPlan faultPlan_;  ///< rebuilt per cycle while faults_ exists
+  /// Overlay of faults_ for cycles [planFrom_, planUntil_): no fault's
+  /// activeAt changes value inside that range, so runCycle rebuilds it
+  /// only when the cycle leaves it.  injectFault marks it stale with
+  /// planUntil_ = 0.
+  BatchFaultPlan faultPlan_;
+  uint64_t planFrom_ = 0;
+  uint64_t planUntil_ = 0;
 };
 
 }  // namespace zeus

@@ -20,9 +20,11 @@ bool parseValue(const std::string& tok, uint64_t& out) {
   }
 }
 
-std::string portValueText(Simulation& sim, const std::string& port) {
+std::string portValueText(const Simulation& sim, PortHandle port) {
+  std::vector<Logic> values(port.width);
+  sim.outputBits(port, values);
   std::string bits;
-  for (Logic v : sim.outputBits(port)) {
+  for (Logic v : values) {
     bits += logicName(v);
     bits += ' ';
   }
@@ -70,13 +72,8 @@ ScriptResult runScript(Simulation& sim, const std::string& text) {
           fail("setx needs <port>");
           break;
         }
-        const Port* p = sim.design().findPort(port);
-        if (!p) {
-          fail("no port '" + port + "'");
-          break;
-        }
-        sim.setInput(port,
-                     std::vector<Logic>(p->nets.size(), Logic::Undef));
+        const PortHandle h = sim.port(port);
+        sim.setInput(h, std::vector<Logic>(h.width, Logic::Undef));
       } else if (cmd == "clear") {
         std::string port;
         if (!(ls >> port)) {
@@ -114,10 +111,11 @@ ScriptResult runScript(Simulation& sim, const std::string& text) {
           break;
         }
         ++r.expectationsChecked;
-        auto got = sim.outputUint(port);
+        const PortHandle h = sim.port(port);
+        auto got = sim.outputUint(h);
         if (!got) {
           fail("expected " + port + " = " + value +
-               ", got undefined bits: " + portValueText(sim, port));
+               ", got undefined bits: " + portValueText(sim, h));
           break;
         }
         if (*got != want) {
@@ -132,10 +130,13 @@ ScriptResult runScript(Simulation& sim, const std::string& text) {
           break;
         }
         ++r.expectationsChecked;
-        for (Logic v : sim.outputBits(port)) {
+        const PortHandle h = sim.port(port);
+        std::vector<Logic> bits(h.width);
+        sim.outputBits(h, bits);
+        for (Logic v : bits) {
           if (v != Logic::Undef) {
             fail("expected " + port + " all-UNDEF, got " +
-                 portValueText(sim, port));
+                 portValueText(sim, h));
             break;
           }
         }
@@ -145,8 +146,8 @@ ScriptResult runScript(Simulation& sim, const std::string& text) {
           fail("print needs <port>");
           break;
         }
-        r.log += port + " = " + portValueText(sim, port) + "(cycle " +
-                 std::to_string(sim.cycle()) + ")\n";
+        r.log += port + " = " + portValueText(sim, sim.port(port)) +
+                 "(cycle " + std::to_string(sim.cycle()) + ")\n";
       } else {
         fail("unknown command '" + cmd + "'");
         break;

@@ -52,20 +52,27 @@ std::vector<Observable> observableOutputs(const SimGraph& g) {
   return out;
 }
 
-std::vector<const Port*> stimulusInputs(const SimGraph& g) {
-  std::vector<const Port*> in;
+/// The IN ports, resolved once per run and shared by every block.
+std::vector<PortHandle> stimulusInputs(const SimGraph& g) {
+  std::vector<PortHandle> in;
   for (const Port& p : g.design->ports) {
-    if (p.mode == ast::ParamMode::In) in.push_back(&p);
+    if (p.mode == ast::ParamMode::In) in.push_back(g.port(p.name));
   }
   return in;
 }
 
-/// Fills `bits` (pre-sized to the port width) from the lane's stimulus
-/// stream; shared verbatim by the farm and the scalar oracle.
+/// Draws one port's stimulus from a lane's stream: one word per 64 port
+/// bits, least significant first (the farm's lane-word layout).
+void stimulusWords(uint64_t& stream, uint64_t* words, size_t count) {
+  for (size_t k = 0; k < count; ++k) words[k] = xorshift(stream);
+}
+
+/// The same draws as bits (pre-sized to the port width), for the scalar
+/// oracle.
 void stimulusBits(uint64_t& stream, std::vector<Logic>& bits) {
   uint64_t word = 0;
   for (size_t b = 0; b < bits.size(); ++b) {
-    if (b % 64 == 0) word = xorshift(stream);
+    if (b % 64 == 0) stimulusWords(stream, &word, 1);
     bits[b] = logicFromBool((word >> (b % 64)) & 1);
   }
 }
@@ -169,7 +176,7 @@ FarmReport runFarm(const SimGraph& graph, const FarmOptions& opts,
   }
 
   const std::vector<Observable> outputs = observableOutputs(graph);
-  const std::vector<const Port*> inputs = stimulusInputs(graph);
+  const std::vector<PortHandle> inputs = stimulusInputs(graph);
   const bool checkpointing = opts.checkpointAtCycle > startCycle &&
                              opts.checkpointAtCycle <= opts.cycles &&
                              opts.onCheckpoint;
@@ -219,24 +226,27 @@ FarmReport runFarm(const SimGraph& graph, const FarmOptions& opts,
       }
     }
     std::vector<uint64_t> streams(n);
-    std::vector<Logic> bits;
+    std::vector<uint64_t> words;  // one port's lane words
     for (uint64_t c = startCycle; c < opts.cycles; ++c) {
       batch.setRset(c == 0);  // cycle 0 is the reset pulse
       for (size_t l = 0; l < n; ++l) {
         streams[l] = farmStimulusSeed(opts.seed, first + l, c);
       }
-      for (const Port* p : inputs) {
-        bits.resize(p->nets.size());
+      for (const PortHandle& p : inputs) {
+        const size_t perLane = (p.width + 63) / 64;
+        words.resize(n * perLane);
         for (size_t l = 0; l < n; ++l) {
-          stimulusBits(streams[l], bits);
-          batch.setInput(l, p->name, bits);
+          stimulusWords(streams[l], &words[l * perLane], perLane);
         }
+        batch.setInputUintLanes(p, words);
       }
       batch.step(1);
-      for (size_t l = 0; l < n; ++l) {
-        uint64_t& h = report.checksums[first + l];
-        for (const Observable& obs : outputs) {
-          foldChecksum(h, batch.netValue(l, obs.net));
+      // Each lane folds the outputs in the same order as the oracle.
+      for (const Observable& obs : outputs) {
+        const LanePlanes v = batch.lanePlanes(obs.net);
+        for (size_t l = 0; l < n; ++l) {
+          foldChecksum(report.checksums[first + l],
+                       laneValue(v, static_cast<uint32_t>(l)));
         }
       }
       if (checkpointing && c + 1 == opts.checkpointAtCycle) {
@@ -338,7 +348,7 @@ FarmReport runFarmScalarOracle(const SimGraph& graph,
   validateOptions(opts);
   const size_t lanes = opts.lanes;
   const std::vector<Observable> outputs = observableOutputs(graph);
-  const std::vector<const Port*> inputs = stimulusInputs(graph);
+  const std::vector<PortHandle> inputs = stimulusInputs(graph);
 
   FarmReport report;
   report.cycles = opts.cycles;
@@ -357,10 +367,10 @@ FarmReport runFarmScalarOracle(const SimGraph& graph,
     for (uint64_t c = 0; c < opts.cycles; ++c) {
       sim.setRset(c == 0);
       uint64_t stream = farmStimulusSeed(opts.seed, lane, c);
-      for (const Port* p : inputs) {
-        bits.resize(p->nets.size());
+      for (const PortHandle& p : inputs) {
+        bits.resize(p.width);
         stimulusBits(stream, bits);
-        sim.setInput(p->name, bits);
+        sim.setInput(p, bits);
       }
       sim.step(1);
       for (const Observable& obs : outputs) {

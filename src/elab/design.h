@@ -101,8 +101,14 @@ struct Design {
   uint64_t optFingerprint = 0;
 
   [[nodiscard]] const Port* findPort(const std::string& name) const {
-    for (const Port& p : ports)
-      if (p.name == name) return &p;
+    for (const Port& p : ports) {
+      // Length and first byte rule out most ports without a memcmp call
+      // (both strings are NUL-terminated, so [0] is safe when empty);
+      // string-keyed port I/O looks a name up on every call.
+      if (p.name.size() == name.size() && p.name[0] == name[0] &&
+          p.name == name)
+        return &p;
+    }
     return nullptr;
   }
 };

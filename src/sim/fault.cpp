@@ -55,10 +55,10 @@ std::vector<Observable> observableOutputs(const SimGraph& g) {
   return out;
 }
 
-std::vector<const Port*> stimulusInputs(const SimGraph& g) {
-  std::vector<const Port*> in;
+std::vector<PortHandle> stimulusInputs(const SimGraph& g) {
+  std::vector<PortHandle> in;
   for (const Port& p : g.design->ports) {
-    if (p.mode == ast::ParamMode::In) in.push_back(&p);
+    if (p.mode == ast::ParamMode::In) in.push_back(g.port(p.name));
   }
   return in;
 }
@@ -229,7 +229,8 @@ FaultCampaignReport runFaultCampaign(const SimGraph& graph,
   }
 
   const std::vector<Observable> outputs = observableOutputs(graph);
-  const std::vector<const Port*> inputs = stimulusInputs(graph);
+  const std::vector<PortHandle> inputs = stimulusInputs(graph);
+  std::vector<Logic> bits;  // one port's stimulus, reused every cycle
   const Netlist& nl = graph.design->netlist;
   auto netName = [&](uint32_t dn) { return nl.net(graph.rootOf[dn]).name; };
 
@@ -255,7 +256,8 @@ FaultCampaignReport runFaultCampaign(const SimGraph& graph,
       batch.injectFault(k + 1, universe[f0 + k]);
     }
 
-    // Stimulus: identical on every lane, derived only from (seed, batch).
+    // Stimulus: identical on every lane, so one broadcast per port,
+    // derived only from (seed, batch).
     uint64_t rng = splitmix(opts.seed ^ (batchIndex * 0x9E3779B97F4A7C15ull));
     if (!rng) rng = 1;
 
@@ -267,16 +269,14 @@ FaultCampaignReport runFaultCampaign(const SimGraph& graph,
 
     for (uint64_t c = 0; c < opts.cycles; ++c) {
       batch.setRset(c == 0);  // cycle 0 is the reset pulse
-      for (const Port* p : inputs) {
-        std::vector<Logic> bits(p->nets.size());
+      for (const PortHandle& p : inputs) {
+        bits.resize(p.width);
         uint64_t word = 0;
         for (size_t b = 0; b < bits.size(); ++b) {
           if (b % 64 == 0) word = xorshift(rng);
           bits[b] = logicFromBool((word >> (b % 64)) & 1);
         }
-        for (size_t lane = 0; lane <= n; ++lane) {
-          batch.setInput(lane, p->name, bits);
-        }
+        batch.setInputAll(p, bits);
       }
       batch.step(1);
       report.evaluatedCycles += 1;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <stdexcept>
 
 #include "src/support/trace.h"
 
@@ -54,6 +55,22 @@ SimGraph buildSimGraph(const Design& design, DiagnosticEngine& diags) {
     SimGraph::NetInfo& info = g.nets[dn];
     if (n.kind == BasicKind::Boolean) info.isBool = true;
     if (n.isPrimaryInput) info.isInput = true;
+  }
+
+  // Port slot table: every port class was marked referenced above, so
+  // each bit has a slot.
+  g.portSlots.resize(design.ports.size());
+  for (size_t pi = 0; pi < design.ports.size(); ++pi) {
+    const Port& p = design.ports[pi];
+    SimGraph::PortSlots& ps = g.portSlots[pi];
+    ps.dense.resize(p.nets.size());
+    ps.boolMask.assign((p.nets.size() + 63) / 64, 0);
+    for (size_t i = 0; i < p.nets.size(); ++i) {
+      ps.dense[i] = g.denseOf[nl.find(p.nets[i])];
+      if (p.kinds[i] == BasicKind::Boolean) {
+        ps.boolMask[i / 64] |= uint64_t{1} << (i % 64);
+      }
+    }
   }
 
   // Driver counts, consumer and driver edges.
@@ -176,6 +193,31 @@ SimGraph buildSimGraph(const Design& design, DiagnosticEngine& diags) {
     }
   }
   return g;
+}
+
+PortHandle SimGraph::port(const std::string& name) const {
+  const Port* p = design->findPort(name);
+  if (!p) throw std::invalid_argument("no port named '" + name + "'");
+  const size_t i = static_cast<size_t>(p - design->ports.data());
+  return {this, static_cast<uint32_t>(i),
+          static_cast<uint32_t>(portSlots[i].dense.size())};
+}
+
+const SimGraph::PortSlots& SimGraph::slotsOf(PortHandle h) const {
+  if (h.graph != this || h.index >= portSlots.size()) {
+    throw std::invalid_argument(
+        "port handle was not resolved on this design's graph");
+  }
+  return portSlots[h.index];
+}
+
+void SimGraph::checkWidth(PortHandle h, size_t bits) const {
+  const size_t width = slotsOf(h).dense.size();
+  if (bits != width) {
+    throw std::invalid_argument("port '" + portName(h) + "' has " +
+                                std::to_string(width) + " bit(s), got " +
+                                std::to_string(bits));
+  }
 }
 
 void checkSequentialOrder(const Design& design, const SimGraph& graph,

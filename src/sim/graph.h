@@ -4,6 +4,7 @@
 // topological order for the naive evaluator and the SEQUENTIAL check.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,20 @@
 #include "src/support/diagnostics.h"
 
 namespace zeus {
+
+struct SimGraph;
+
+/// A top-level port resolved once (SimGraph::port, Simulation::port,
+/// BatchSimulation::port), in the manner of Hardcaml's Cyclesim port
+/// refs: the graph it was resolved on, its Design::ports index and its
+/// bit width.  Every simulator over that graph accepts it, and the
+/// handle overloads of the port I/O calls neither look the name up nor
+/// allocate.  A handle from another graph is rejected.
+struct PortHandle {
+  const SimGraph* graph = nullptr;
+  uint32_t index = 0;
+  uint32_t width = 0;
+};
 
 struct SimGraph {
   const Design* design = nullptr;
@@ -58,8 +73,30 @@ struct SimGraph {
   bool hasCycle = false;
   std::string cycleDescription;
 
+  /// Per Design::ports entry, resolved once so port I/O never walks the
+  /// union-find: each bit's dense slot (port index 1, the LSB, first) and
+  /// which bits are BOOLEAN, as 64-bit words (bit i is bit i % 64 of
+  /// word i / 64).  Port classes always keep a slot, so none is kNoDense.
+  struct PortSlots {
+    std::vector<uint32_t> dense;
+    std::vector<uint64_t> boolMask;
+  };
+  std::vector<PortSlots> portSlots;  ///< per Design::ports index
+
   [[nodiscard]] uint32_t dense(NetId id) const {
     return denseOf[design->netlist.find(id)];
+  }
+
+  /// Resolves a port by name.  Throws std::invalid_argument when the
+  /// design has no such port.
+  [[nodiscard]] PortHandle port(const std::string& name) const;
+  /// The slots behind `h`.  Throws std::invalid_argument when `h` was not
+  /// resolved on this graph.
+  [[nodiscard]] const PortSlots& slotsOf(PortHandle h) const;
+  /// Throws std::invalid_argument unless `h`'s port is `bits` wide.
+  void checkWidth(PortHandle h, size_t bits) const;
+  [[nodiscard]] const std::string& portName(PortHandle h) const {
+    return design->ports[h.index].name;
   }
 };
 

@@ -178,33 +178,6 @@ void LevelizedEvaluator::evaluate(const CycleSeeds& seeds, CycleResult& out) {
 // Batch mode
 // ---------------------------------------------------------------------
 
-LanePlanes lanesBroadcast(Logic v, uint64_t mask) {
-  switch (v) {
-    case Logic::Zero: return {mask, 0};
-    case Logic::One: return {0, mask};
-    case Logic::Undef: return {mask, mask};
-    case Logic::NoInfl: return {0, 0};
-  }
-  return {mask, mask};
-}
-
-Logic laneValue(const LanePlanes& p, uint32_t lane) {
-  bool b0 = (p.p0 >> lane) & 1;
-  bool b1 = (p.p1 >> lane) & 1;
-  if (b0 && b1) return Logic::Undef;
-  if (b0) return Logic::Zero;
-  if (b1) return Logic::One;
-  return Logic::NoInfl;
-}
-
-void laneSet(LanePlanes& planes, uint32_t lane, Logic v) {
-  uint64_t bit = uint64_t{1} << lane;
-  planes.p0 &= ~bit;
-  planes.p1 &= ~bit;
-  if (v == Logic::Zero || v == Logic::Undef) planes.p0 |= bit;
-  if (v == Logic::One || v == Logic::Undef) planes.p1 |= bit;
-}
-
 namespace {
 
 /// Gate-input conversion: NOINFL lanes (0,0) read as UNDEF (1,1) — the

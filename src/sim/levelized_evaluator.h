@@ -78,12 +78,35 @@ struct LanePlanes {
   uint64_t p1 = 0;
 };
 
+/// The (p0, p1) plane bits of one Logic value, looked up in a 4-entry
+/// bit table rather than branched on: stimulus values are random, and a
+/// branch on them mispredicts about half the time.
+inline constexpr uint64_t planeBit0(Logic v) {
+  return (0b0101u >> static_cast<unsigned>(v)) & 1;  // Zero, Undef
+}
+inline constexpr uint64_t planeBit1(Logic v) {
+  return (0b0110u >> static_cast<unsigned>(v)) & 1;  // One, Undef
+}
+/// The Logic value of plane bits (b0, b1), each 0 or 1.
+inline constexpr Logic logicOfPlanes(uint64_t b0, uint64_t b1) {
+  // Index b0 | b1 << 1 selects NoInfl, Zero, One, Undef (2 bits each).
+  return static_cast<Logic>((0x93u >> (2 * (b0 | (b1 << 1)))) & 3);
+}
+
 /// Packs one scalar Logic into all lanes of `mask`.
-LanePlanes lanesBroadcast(Logic v, uint64_t mask);
+inline LanePlanes lanesBroadcast(Logic v, uint64_t mask) {
+  return {mask & (0 - planeBit0(v)), mask & (0 - planeBit1(v))};
+}
 /// Extracts one lane's Logic value.
-Logic laneValue(const LanePlanes& p, uint32_t lane);
+inline Logic laneValue(const LanePlanes& p, uint32_t lane) {
+  return logicOfPlanes((p.p0 >> lane) & 1, (p.p1 >> lane) & 1);
+}
 /// Sets one lane of `planes` to `v` (other lanes untouched).
-void laneSet(LanePlanes& planes, uint32_t lane, Logic v);
+inline void laneSet(LanePlanes& planes, uint32_t lane, Logic v) {
+  const uint64_t bit = uint64_t{1} << lane;
+  planes.p0 = (planes.p0 & ~bit) | (planeBit0(v) << lane);
+  planes.p1 = (planes.p1 & ~bit) | (planeBit1(v) << lane);
+}
 
 struct BatchSeeds {
   /// Per dense net: externally driven lanes; lanes not driving a net

@@ -84,51 +84,48 @@ void Simulation::profileCycle() {
   ++profiledCycles_;
 }
 
-const Port* Simulation::findPortOrThrow(const std::string& name) const {
-  const Port* p = g_.design->findPort(name);
-  if (!p) throw std::invalid_argument("no port named '" + name + "'");
-  return p;
-}
-
-void Simulation::applyPortValue(const Port& port,
-                                const std::vector<Logic>& bits) {
-  if (bits.size() != port.nets.size()) {
-    throw std::invalid_argument("port '" + port.name + "' has " +
-                                std::to_string(port.nets.size()) +
-                                " bit(s), got " +
-                                std::to_string(bits.size()));
-  }
-  for (size_t i = 0; i < bits.size(); ++i) {
-    uint32_t dn = g_.dense(port.nets[i]);
-    inputValues_[dn] = bits[i];
-    inputSet_[dn] = 1;
-  }
-}
-
 void Simulation::setInput(const std::string& port, Logic v) {
-  applyPortValue(*findPortOrThrow(port), {v});
+  setInput(this->port(port), v);
 }
 
 void Simulation::setInput(const std::string& port,
                           const std::vector<Logic>& bits) {
-  applyPortValue(*findPortOrThrow(port), bits);
+  setInput(this->port(port), bits);
 }
 
 void Simulation::setInputUint(const std::string& port, uint64_t value) {
-  const Port* p = findPortOrThrow(port);
-  std::vector<Logic> bits(p->nets.size());
-  for (size_t i = 0; i < bits.size(); ++i) {
-    // Ports wider than 64 bits get zeros above bit 63 (shifting by >= 64
-    // is undefined, not zero).
-    bits[i] = logicFromBool(i < 64 && ((value >> i) & 1));
-  }
-  applyPortValue(*p, bits);
+  setInputUint(this->port(port), value);
 }
 
 void Simulation::clearInput(const std::string& port) {
-  const Port* p = findPortOrThrow(port);
-  for (NetId n : p->nets) {
-    uint32_t dn = g_.dense(n);
+  clearInput(this->port(port));
+}
+
+void Simulation::setInput(PortHandle port, Logic v) {
+  setInput(port, std::span<const Logic>(&v, 1));
+}
+
+void Simulation::setInput(PortHandle port, std::span<const Logic> bits) {
+  g_.checkWidth(port, bits.size());
+  const std::vector<uint32_t>& slots = g_.slotsOf(port).dense;
+  for (size_t i = 0; i < bits.size(); ++i) {
+    inputValues_[slots[i]] = bits[i];
+    inputSet_[slots[i]] = 1;
+  }
+}
+
+void Simulation::setInputUint(PortHandle port, uint64_t value) {
+  const std::vector<uint32_t>& slots = g_.slotsOf(port).dense;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    // Ports wider than 64 bits get zeros above bit 63 (shifting by >= 64
+    // is undefined, not zero).
+    inputValues_[slots[i]] = logicFromBool(i < 64 && ((value >> i) & 1));
+    inputSet_[slots[i]] = 1;
+  }
+}
+
+void Simulation::clearInput(PortHandle port) {
+  for (uint32_t dn : g_.slotsOf(port).dense) {
     inputSet_[dn] = 0;
     inputValues_[dn] = Logic::Undef;
   }
@@ -321,34 +318,52 @@ Logic Simulation::netValueByName(const std::string& name) const {
 }
 
 std::vector<Logic> Simulation::outputBits(const std::string& port) const {
-  const Port* p = findPortOrThrow(port);
-  std::vector<Logic> out;
-  out.reserve(p->nets.size());
-  for (size_t i = 0; i < p->nets.size(); ++i) {
-    Logic v = netValue(p->nets[i]);
-    // Observation of a boolean port converts NOINFL to UNDEF (§4.1).
-    if (v == Logic::NoInfl && p->kinds[i] == BasicKind::Boolean)
-      v = Logic::Undef;
-    out.push_back(v);
-  }
+  const PortHandle h = this->port(port);
+  std::vector<Logic> out(h.width);
+  outputBits(h, out);
   return out;
 }
 
 Logic Simulation::output(const std::string& port) const {
-  std::vector<Logic> bits = outputBits(port);
-  if (bits.size() != 1) {
-    throw std::invalid_argument("port '" + port + "' is not a single bit");
-  }
-  return bits[0];
+  return output(this->port(port));
 }
 
 std::optional<uint64_t> Simulation::outputUint(
     const std::string& port) const {
-  std::vector<Logic> bits = outputBits(port);
+  return outputUint(this->port(port));
+}
+
+Logic Simulation::observe(const SimGraph::PortSlots& ps, size_t i) const {
+  if (!evaluated_) return Logic::Undef;
+  Logic v = result_.netValues[ps.dense[i]];
+  // Observation of a boolean port converts NOINFL to UNDEF (§4.1).
+  if (v == Logic::NoInfl && ((ps.boolMask[i / 64] >> (i % 64)) & 1))
+    v = Logic::Undef;
+  return v;
+}
+
+void Simulation::outputBits(PortHandle port, std::span<Logic> out) const {
+  g_.checkWidth(port, out.size());
+  const SimGraph::PortSlots& ps = g_.slotsOf(port);
+  for (size_t i = 0; i < out.size(); ++i) out[i] = observe(ps, i);
+}
+
+Logic Simulation::output(PortHandle port) const {
+  const SimGraph::PortSlots& ps = g_.slotsOf(port);
+  if (ps.dense.size() != 1) {
+    throw std::invalid_argument("port '" + g_.portName(port) +
+                                "' is not a single bit");
+  }
+  return observe(ps, 0);
+}
+
+std::optional<uint64_t> Simulation::outputUint(PortHandle port) const {
+  const SimGraph::PortSlots& ps = g_.slotsOf(port);
   uint64_t value = 0;
-  for (size_t i = 0; i < bits.size(); ++i) {
-    if (!isDefined(bits[i])) return std::nullopt;
-    if (bits[i] == Logic::One) {
+  for (size_t i = 0; i < ps.dense.size(); ++i) {
+    const Logic v = observe(ps, i);
+    if (!isDefined(v)) return std::nullopt;
+    if (v == Logic::One) {
       if (i >= 64) return std::nullopt;  // doesn't fit a uint64_t
       value |= uint64_t{1} << i;
     }

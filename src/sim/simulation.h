@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,12 +88,24 @@ class Simulation {
   /// Clears registers to UNDEF, inputs to unset, cycle count to 0.
   void reset();
 
+  /// Resolves a port once for the handle overloads below (see
+  /// PortHandle).  Throws std::invalid_argument on an unknown name.
+  [[nodiscard]] PortHandle port(const std::string& name) const {
+    return g_.port(name);
+  }
+
   // -- driving inputs (persist until changed) --
+  // Each string overload resolves the port and forwards to its handle
+  // overload, which neither looks the name up nor allocates.
   void setInput(const std::string& port, Logic v);
   void setInput(const std::string& port, const std::vector<Logic>& bits);
   /// Sets an array port from an unsigned value; port index 1 is the LSB.
   void setInputUint(const std::string& port, uint64_t value);
   void clearInput(const std::string& port);
+  void setInput(PortHandle port, Logic v);
+  void setInput(PortHandle port, std::span<const Logic> bits);
+  void setInputUint(PortHandle port, uint64_t value);
+  void clearInput(PortHandle port);
   void setRset(bool active);
   /// Seed for RANDOM components (deterministic runs).
   void setRandomSeed(uint64_t seed);
@@ -145,13 +158,17 @@ class Simulation {
   /// Evaluates combinationally without latching registers (inspection).
   void evaluateOnly();
 
-  // -- observing --
+  // -- observing (string overloads resolve and forward) --
   [[nodiscard]] Logic output(const std::string& port) const;
   [[nodiscard]] std::vector<Logic> outputBits(const std::string& port) const;
   /// Value of an array port as an unsigned number; nullopt when any bit is
-  /// UNDEF or NOINFL.
+  /// UNDEF or NOINFL, or when the value does not fit 64 bits.
   [[nodiscard]] std::optional<uint64_t> outputUint(
       const std::string& port) const;
+  [[nodiscard]] Logic output(PortHandle port) const;
+  /// Fills `out` (out.size() == the port width) with the port's bits.
+  void outputBits(PortHandle port, std::span<Logic> out) const;
+  [[nodiscard]] std::optional<uint64_t> outputUint(PortHandle port) const;
   [[nodiscard]] Logic netValue(NetId net) const;
   [[nodiscard]] Logic netValueByName(const std::string& name) const;
 
@@ -177,8 +194,9 @@ class Simulation {
   [[nodiscard]] const Design& design() const { return *g_.design; }
 
  private:
-  const Port* findPortOrThrow(const std::string& name) const;
-  void applyPortValue(const Port& port, const std::vector<Logic>& bits);
+  /// A port bit's observed value: NOINFL reads UNDEF on a boolean port
+  /// (§4.1), and every bit reads UNDEF before the first evaluation.
+  [[nodiscard]] Logic observe(const SimGraph::PortSlots& ps, size_t i) const;
   void runCycle(bool latch);
   void profileCycle();
   void buildFaultPlan();

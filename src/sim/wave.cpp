@@ -1,19 +1,17 @@
 #include "src/sim/wave.h"
 
 #include <cctype>
-#include <stdexcept>
 
 namespace zeus {
 
 void WaveRecorder::watchPort(const std::string& port,
                              const std::string& label) {
-  const Port* p = sim_.design().findPort(port);
-  if (!p) throw std::invalid_argument("no port named '" + port + "'");
-  for (size_t i = 0; i < p->nets.size(); ++i) {
+  const Port& p = sim_.design().ports[sim_.port(port).index];
+  for (size_t i = 0; i < p.nets.size(); ++i) {
     Track t;
     t.label = (label.empty() ? port : label);
-    if (p->nets.size() > 1) t.label += "[" + std::to_string(i + 1) + "]";
-    t.nets = {p->nets[i]};
+    if (p.nets.size() > 1) t.label += "[" + std::to_string(i + 1) + "]";
+    t.nets = {p.nets[i]};
     tracks_.push_back(std::move(t));
   }
 }

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <memory>
 #include <string>
 
@@ -10,6 +12,14 @@
 #include "src/corpus/corpus.h"
 
 namespace zeus::test {
+
+/// A scratch file path private to this test process.  ctest runs
+/// zeus_tests twice at once (the whole suite, and the thread_stress
+/// filter of it), so a fixed name would let one process read the other's
+/// half-written file.
+inline std::string privateTempPath(const std::string& name) {
+  return testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
+}
 
 /// Returns a directly elaboratable source for a corpus entry, appending an
 /// instantiation line for the parameterized programs (whose `top` is "").

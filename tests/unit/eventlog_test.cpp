@@ -14,6 +14,7 @@
 
 #include "src/support/eventlog.h"
 #include "src/support/trace.h"
+#include "tests/support/test_util.h"
 
 namespace zeus::test {
 namespace {
@@ -141,8 +142,7 @@ TEST(EventLog, ClearDropsEverythingAndEmitsKeepWorking) {
 
 TEST(FlightRecorder, DumpNowWritesSchemaValidFile) {
   LogGuard guard;
-  const std::string path =
-      testing::TempDir() + "/zeus_flightrec_test.json";
+  const std::string path = privateTempPath("zeus_flightrec_test.json");
   std::remove(path.c_str());
 
   EXPECT_FALSE(flightrec::dumpNow("unarmed"));  // not armed: refuses
@@ -175,8 +175,7 @@ TEST(FlightRecorder, DumpNowWritesSchemaValidFile) {
 
 TEST(FlightRecorder, DisarmStopsRecording) {
   LogGuard guard;
-  const std::string path =
-      testing::TempDir() + "/zeus_flightrec_disarm.json";
+  const std::string path = privateTempPath("zeus_flightrec_disarm.json");
   flightrec::arm(path.c_str());
   eventlog::emit(Severity::Info, "test", "recorded");
   EXPECT_GE(flightrec::ringCount(), 1u);
@@ -191,8 +190,7 @@ TEST(FlightRecorder, DisarmStopsRecording) {
 
 TEST(FlightRecorder, SpanStackPushPopBalance) {
   LogGuard guard;
-  const std::string path =
-      testing::TempDir() + "/zeus_flightrec_spans.json";
+  const std::string path = privateTempPath("zeus_flightrec_spans.json");
   flightrec::arm(path.c_str());
   {
     trace::Span a("outer", "test");

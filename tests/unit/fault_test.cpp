@@ -192,6 +192,39 @@ TEST(Fault, BatchLaneMatchesScalarFaultySimulation) {
   }
 }
 
+TEST(Fault, BatchFaultChangesMidRunTakeEffectNextCycle) {
+  // The batch keeps its fault overlay across cycles in which no fault
+  // switches on or off; injecting or clearing a fault mid-run must still
+  // act on the very next cycle, as it does on a scalar run.
+  Built b = buildOk(kNotChain, "top");
+  SimGraph g = buildSimGraph(*b.design, b.comp->diags());
+  const FaultSpec m1 = *makeFault(g, FaultKind::StuckAt1, "top.m");
+  const FaultSpec o1 = *makeFault(g, FaultKind::StuckAt1, "top.o");
+  BatchSimulation batch(g, 2);
+  Simulation faulty(g, EvaluatorKind::Levelized);
+  const Netlist& nl = b.design->netlist;
+  for (int cyc = 0; cyc < 6; ++cyc) {
+    if (cyc == 1) {  // m stuck at 1: o reads 0 instead of 1
+      batch.injectFault(1, m1);
+      faulty.injectFault(m1);
+    } else if (cyc == 3) {  // o stuck at 1 on top of it
+      batch.injectFault(1, o1);
+      faulty.injectFault(o1);
+    } else if (cyc == 5) {
+      batch.clearFaults();
+      faulty.clearFaults();
+    }
+    batch.setInputAll("a", Logic::One);  // golden: m = 0, o = 1
+    faulty.setInput("a", Logic::One);
+    batch.step();
+    faulty.step();
+    for (NetId n = 0; n < nl.netCount(); ++n) {
+      ASSERT_EQ(batch.netValue(1, n), faulty.netValue(n))
+          << nl.net(n).name << " cycle " << cyc;
+    }
+  }
+}
+
 TEST(Fault, DivergenceProbesSeeExactlyTheFaultyLanes) {
   Built b = buildOk(kNotChain, "top");
   SimGraph g = buildSimGraph(*b.design, b.comp->diags());

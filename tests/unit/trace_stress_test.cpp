@@ -21,6 +21,7 @@
 #include "src/support/metrics.h"
 #include "src/support/thread_slot.h"
 #include "src/support/trace.h"
+#include "tests/support/test_util.h"
 
 // TSan serializes every instrumented access; unbounded writer loops on a
 // small host would grow the span buffers to millions of events between
@@ -197,8 +198,7 @@ TEST(TelemetryStress, FlightRecorderRingVsConcurrentDumps) {
   // Writers fill the crash ring and push/pop nested spans on their slots'
   // open-span stacks while this thread writes dumps from normal context.
   TelemetryGuard guard;
-  const std::string path =
-      testing::TempDir() + "/zeus_flightrec_stress.json";
+  const std::string path = privateTempPath("zeus_flightrec_stress.json");
   flightrec::arm(path.c_str());
   constexpr int kWriters = 4;
   std::atomic<bool> stop{false};
@@ -217,6 +217,16 @@ TEST(TelemetryStress, FlightRecorderRingVsConcurrentDumps) {
       }
     });
   }
+  // A failed ASSERT returns early: stop and join the writers on every
+  // exit, or their destructors abort the whole test binary.
+  struct JoinWriters {
+    std::atomic<bool>& stop;
+    std::vector<std::thread>& writers;
+    ~JoinWriters() {
+      stop.store(true);
+      for (std::thread& w : writers) w.join();
+    }
+  } joinWriters{stop, writers};
   while (started.load(std::memory_order_acquire) < kWriters) {
     std::this_thread::yield();
   }
@@ -244,8 +254,6 @@ TEST(TelemetryStress, FlightRecorderRingVsConcurrentDumps) {
           << rec;
     }
   }
-  stop.store(true);
-  for (std::thread& w : writers) w.join();
   std::remove(path.c_str());
 }
 
