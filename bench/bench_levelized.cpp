@@ -172,13 +172,12 @@ SIGNAL bench: benchtop()" +
          std::to_string(width) + ");\n";
 }
 
-/// One build of the bench design at a given -O level.  The SimGraph
-/// borrows the Design (g.design), so both live here together.
+/// One build of the bench design at a given -O level.  The report's
+/// SimGraph borrows the Design (g.design), so both live here together.
 struct OptBuild {
   std::unique_ptr<zeus::Compilation> comp;
   std::unique_ptr<zeus::Design> design;
   zeus::OptReport rep;
-  zeus::SimGraph g;
 };
 
 bool buildAtLevel(const std::string& src, int level, OptBuild& b) {
@@ -197,16 +196,15 @@ bool buildAtLevel(const std::string& src, int level, OptBuild& b) {
                  b.rep.verifyError.c_str());
     return false;
   }
-  b.g = zeus::buildSimGraph(*b.design, b.comp->diags());
-  return !b.g.hasCycle;
+  return b.rep.graph != nullptr;
 }
 
 bool runOptBench(int width, uint64_t cycles, OptBenchResult& r) {
   const std::string src = optBenchSource(width);
   OptBuild off, on;
   if (!buildAtLevel(src, 0, off) || !buildAtLevel(src, 1, on)) return false;
-  const zeus::SimGraph& gOff = off.g;
-  const zeus::SimGraph& gOn = on.g;
+  const zeus::SimGraph& gOff = *off.rep.graph;
+  const zeus::SimGraph& gOn = *on.rep.graph;
   const zeus::OptReport& repOn = on.rep;
 
   r.nodesBefore = repOn.nodesBefore;
@@ -516,12 +514,10 @@ class BareLoop {
   }
 
   void run(uint64_t cycles) {
-    const zeus::Netlist& nl = g_.design->netlist;
     for (uint64_t i = 0; i < cycles; ++i) {
       eval_.evaluate(seeds_, result_);
       for (size_t k = 0; k < g_.regNodes.size(); ++k) {
-        const zeus::Node& reg = nl.node(g_.regNodes[k]);
-        uint32_t in = g_.dense(reg.inputs[0]);
+        const uint32_t in = g_.regInput[k];
         if (result_.activeCounts[in] > 0) {
           zeus::Logic v = result_.netValues[in];
           regValues_[k] = v == zeus::Logic::NoInfl ? zeus::Logic::Undef : v;

@@ -489,18 +489,18 @@ int main(int argc, char** argv) {
   }
 
   // Optimization pipeline + post-pass verifier (docs/optimizer.md).  Runs
-  // after lint (findings refer to pre-optimization structure) and before
-  // any graph the later stages build or simulate.  -O0 still verifies.
-  {
-    zeus::OptOptions oopts;
-    oopts.level = optLevel;
-    zeus::OptReport optReport = comp->optimize(*design, oopts);
-    if (optStats) std::printf("%s", optReport.renderJson(top).c_str());
-    if (!comp->ok()) {
-      std::fprintf(stderr, "%s", comp->diagnosticsText().c_str());
-      return fail(1);
-    }
+  // after lint (findings refer to pre-optimization structure); every later
+  // stage reports on or simulates the verified graph it returns, which is
+  // null for a cyclic design.  -O0 still verifies.
+  zeus::OptOptions oopts;
+  oopts.level = optLevel;
+  zeus::OptReport optReport = comp->optimize(*design, oopts);
+  if (optStats) std::printf("%s", optReport.renderJson(top).c_str());
+  if (!comp->ok() || !optReport.graph) {
+    std::fprintf(stderr, "%s", comp->diagnosticsText().c_str());
+    return fail(1);
   }
+  const zeus::SimGraph& graph = *optReport.graph;
 
   if (dumpNetlist) {
     for (zeus::NetId i = 0; i < design->netlist.netCount(); ++i) {
@@ -524,7 +524,6 @@ int main(int argc, char** argv) {
   }
 
   if (report) {
-    zeus::SimGraph graph = zeus::buildSimGraph(*design, comp->diags());
     zeus::checkSequentialOrder(*design, graph, comp->diags());
     zeus::DesignStats ds = zeus::computeStats(*design, graph);
     std::printf("%s", zeus::renderStats(ds).c_str());
@@ -563,8 +562,6 @@ int main(int argc, char** argv) {
     }
     std::ostringstream ss;
     ss << in.rdbuf();
-    zeus::SimGraph graph = zeus::buildSimGraph(*design, comp->diags());
-    if (graph.hasCycle) return fail(1);
     zeus::Simulation::Options sopts;
     sopts.evaluator = evalKind;
     sopts.profileActivity = wantActivity;
@@ -583,11 +580,6 @@ int main(int argc, char** argv) {
   // golden, every other lane one stuck-at fault, classified against the
   // primary outputs.  --sim N sets the cycles per fault batch.
   if (faultCampaign) {
-    zeus::SimGraph graph = zeus::buildSimGraph(*design, comp->diags());
-    if (graph.hasCycle) {
-      std::fprintf(stderr, "%s", comp->diagnosticsText().c_str());
-      return fail(1);
-    }
     zeus::FaultCampaignOptions fopts;
     if (simCycles > 0) fopts.cycles = static_cast<uint64_t>(simCycles);
     if (faultSeed >= 0) fopts.seed = static_cast<uint64_t>(faultSeed);
@@ -685,11 +677,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "zeusc: --farm-threads requires --sim N\n");
       return fail(2);
     }
-    zeus::SimGraph graph = zeus::buildSimGraph(*design, comp->diags());
-    if (graph.hasCycle) {
-      std::fprintf(stderr, "%s", comp->diagnosticsText().c_str());
-      return fail(1);
-    }
     zeus::FarmOptions fopts;
     fopts.threads = static_cast<size_t>(farmThreads);
     if (farmLanes > 0) fopts.lanes = static_cast<size_t>(farmLanes);
@@ -755,11 +742,6 @@ int main(int argc, char** argv) {
   }
 
   if (simCycles >= 0) {
-    zeus::SimGraph graph = zeus::buildSimGraph(*design, comp->diags());
-    if (graph.hasCycle) {
-      std::fprintf(stderr, "%s", comp->diagnosticsText().c_str());
-      return fail(1);
-    }
     zeus::Simulation::Options sopts;
     sopts.evaluator = evalKind;
     sopts.profileActivity = wantActivity;

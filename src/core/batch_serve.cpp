@@ -11,7 +11,6 @@
 #include "src/core/compiler.h"
 #include "src/core/sim_farm.h"
 #include "src/corpus/corpus.h"
-#include "src/sim/graph.h"
 #include "src/support/buildinfo.h"
 #include "src/support/eventlog.h"
 #include "src/support/metrics.h"
@@ -259,6 +258,7 @@ struct CachedDesign {
   std::unique_ptr<Compilation> comp;
   std::unique_ptr<Design> design;
   std::unique_ptr<SimGraph> graph;
+  uint64_t designHash = 0;  ///< designContentHash, taken once per compile
   std::string top;
   std::string error;  ///< non-empty = the compile failed (cached too)
 };
@@ -280,17 +280,17 @@ CachedDesign compileDesign(const std::string& source, const std::string& top,
   }
   OptOptions oopts;
   oopts.level = optLevel;
-  c.comp->optimize(*c.design, oopts);
+  OptReport rep = c.comp->optimize(*c.design, oopts);
   if (!c.comp->ok()) {
     c.error = "optimization failed: " + c.comp->diagnosticsText();
     return c;
   }
-  c.graph = std::make_unique<SimGraph>(
-      buildSimGraph(*c.design, c.comp->diags()));
-  if (c.graph->hasCycle) {
-    c.error = "cyclic design: " + c.graph->cycleDescription;
-    c.graph.reset();
+  if (!rep.graph) {
+    c.error = "cyclic design: " + c.comp->diagnosticsText();
+    return c;
   }
+  c.graph = std::move(rep.graph);
+  c.designHash = designContentHash(*c.design);
   return c;
 }
 
@@ -482,7 +482,7 @@ std::string runServeBatch(const std::string& requestJson,
         line += ", \"ok\": true";
         line += ", \"design\": \"" + metrics::jsonEscape(cached->top) + "\"";
         line += ", \"design_hash\": \"" +
-                hex(designContentHash(*cached->design)) + "\"";
+                hex(cached->designHash) + "\"";
         line += ", \"cache\": \"" + cacheState + "\"";
         line += ", \"cycles\": " + std::to_string(fr.cycles);
         line += ", \"lanes\": " + std::to_string(fr.lanes);

@@ -370,8 +370,7 @@ void BatchSimulation::runCycle(bool latch) {
   // Per-lane two-phase latch (§5.1): a lane's register keeps its value
   // when that lane saw no active assignment this cycle.
   for (size_t k = 0; k < g_.regNodes.size(); ++k) {
-    const Node& reg = nl.node(g_.regNodes[k]);
-    uint32_t in = g_.dense(reg.inputs[0]);
+    const uint32_t in = g_.regInput[k];
     uint64_t act = result_.activeAny[in];
     const LanePlanes& v = result_.netValues[in];
     LanePlanes& r = regValues_[k];
@@ -510,25 +509,7 @@ uint64_t BatchSimulation::outputUintLanes(PortHandle port,
 }
 
 metrics::SimCounters BatchSimulation::metricsCounters() const {
-  const EvalStats& s = stats();
-  metrics::SimCounters c;
-  c.ran = true;
-  c.evaluator = "batch";
-  c.cycles = cycle_;
-  c.lanes = lanes_;
-  c.laneCycles = cycle_ * lanes_;
-  c.nodeFirings = s.nodeFirings;
-  c.inputEvents = s.inputEvents;
-  c.sweeps = s.sweeps;
-  c.netResolutions = s.netResolutions;
-  c.shortCircuitSkips = s.shortCircuitSkips;
-  c.contentionChecks = s.contentionChecks;
-  c.epochResets = s.epochResets;
-  c.faults = errors_.size();
-  for (const SimError& e : errors_) {
-    if (e.code == Diag::SimContention) ++c.contentionFaults;
-  }
-  return c;
+  return simCounters("batch", stats(), cycle_, lanes_, errors_);
 }
 
 }  // namespace zeus

@@ -60,9 +60,10 @@ class Compilation {
 
   /// Runs the optimization pipeline (src/transform/pipeline.h) in place
   /// on an elaborated design and verifies the result.  Call after lint
-  /// (lint findings refer to pre-optimization structure) and before
-  /// building the graph that will be simulated.  A verifier failure makes
-  /// ok() false.
+  /// (lint findings refer to pre-optimization structure).  The report's
+  /// graph is the verified semantics graph of the optimized design:
+  /// simulate on it rather than building another.  A verifier failure
+  /// makes ok() false.
   OptReport optimize(Design& design, const OptOptions& opts = {});
 
   /// The limits this compilation runs under.

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "src/sim/stimulus.h"
 #include "src/support/eventlog.h"
 #include "src/support/metrics.h"
 #include "src/support/trace.h"
@@ -20,46 +21,6 @@ metrics::Counter farmBlocks("farm-blocks");
 
 constexpr uint64_t kGolden = 0x9E3779B97F4A7C15ull;
 constexpr uint64_t kFnvPrime = 0x100000001B3ull;
-
-uint64_t splitmix(uint64_t x) {
-  x += kGolden;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-uint64_t xorshift(uint64_t& s) {
-  s ^= s << 13;
-  s ^= s >> 7;
-  s ^= s << 17;
-  return s;
-}
-
-/// One observable primary-output bit (same selection as runFaultCampaign:
-/// every non-IN port bit, in port declaration order).
-struct Observable {
-  NetId net;
-};
-
-std::vector<Observable> observableOutputs(const SimGraph& g) {
-  std::vector<Observable> out;
-  for (const Port& p : g.design->ports) {
-    for (size_t b = 0; b < p.nets.size(); ++b) {
-      if (p.modes[b] == ast::ParamMode::In) continue;
-      out.push_back({p.nets[b]});
-    }
-  }
-  return out;
-}
-
-/// The IN ports, resolved once per run and shared by every block.
-std::vector<PortHandle> stimulusInputs(const SimGraph& g) {
-  std::vector<PortHandle> in;
-  for (const Port& p : g.design->ports) {
-    if (p.mode == ast::ParamMode::In) in.push_back(g.port(p.name));
-  }
-  return in;
-}
 
 /// Draws one port's stimulus from a lane's stream: one word per 64 port
 /// bits, least significant first (the farm's lane-word layout).
@@ -79,18 +40,6 @@ void stimulusBits(uint64_t& stream, std::vector<Logic>& bits) {
 
 void foldChecksum(uint64_t& h, Logic v) {
   h = (h ^ (static_cast<uint64_t>(v) + 1)) * kFnvPrime;
-}
-
-void mergeStats(EvalStats& into, const EvalStats& s) {
-  into.nodeFirings += s.nodeFirings;
-  into.inputEvents += s.inputEvents;
-  into.sweeps += s.sweeps;
-  into.netResolutions += s.netResolutions;
-  into.shortCircuitSkips += s.shortCircuitSkips;
-  into.contentionChecks += s.contentionChecks;
-  into.epochResets += s.epochResets;
-  into.watchdogMarginMin =
-      std::min(into.watchdogMarginMin, s.watchdogMarginMin);
 }
 
 /// Canonical farm error order: (cycle, lane, net), then code for the
@@ -149,12 +98,11 @@ FarmReport runFarm(const SimGraph& graph, const FarmOptions& opts,
   const size_t lanes = opts.lanes;
   const size_t perBlock = opts.lanesPerBlock;
   const size_t blocks = (lanes + perBlock - 1) / perBlock;
-  const uint64_t designHash = designContentHash(*graph.design);
 
   uint64_t startCycle = 0;
   EvalStats baseStats;
   if (resume) {
-    if (resume->designHash != designHash) {
+    if (resume->designHash != designContentHash(*graph.design)) {
       throw std::invalid_argument(
           "farm snapshot was taken on a different design");
     }
@@ -306,7 +254,7 @@ FarmReport runFarm(const SimGraph& graph, const FarmOptions& opts,
   }
 
   report.stats = baseStats;
-  for (const EvalStats& s : blockStats) mergeStats(report.stats, s);
+  for (const EvalStats& s : blockStats) report.stats += s;
   size_t total = 0;
   for (const auto& errs : blockErrors) total += errs.size();
   report.errors.reserve(total);
@@ -328,13 +276,13 @@ FarmReport runFarm(const SimGraph& graph, const FarmOptions& opts,
 
   if (checkpointing) {
     FarmSnapshot snap;
-    snap.designHash = designHash;
+    snap.designHash = designContentHash(*graph.design);
     snap.cycle = opts.checkpointAtCycle;
     snap.seed = opts.seed;
     snap.totalLanes = static_cast<uint32_t>(lanes);
     snap.lanesPerBlock = static_cast<uint32_t>(perBlock);
     snap.stats = baseStats;
-    for (const EvalStats& s : checkpointStats) mergeStats(snap.stats, s);
+    for (const EvalStats& s : checkpointStats) snap.stats += s;
     snap.checksums = std::move(checkpointSums);
     snap.lanes = std::move(checkpointLanes);
     opts.onCheckpoint(snap);
@@ -383,7 +331,7 @@ FarmReport runFarmScalarOracle(const SimGraph& graph,
       tagged.lane = static_cast<int32_t>(lane);
       report.errors.push_back(std::move(tagged));
     }
-    mergeStats(report.stats, sim.stats());
+    report.stats += sim.stats();
   }
   report.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -393,24 +341,7 @@ FarmReport runFarmScalarOracle(const SimGraph& graph,
 }
 
 metrics::SimCounters farmMetricsCounters(const FarmReport& r) {
-  metrics::SimCounters c;
-  c.ran = true;
-  c.evaluator = "farm";
-  c.cycles = r.cycles;
-  c.lanes = r.lanes;
-  c.laneCycles = r.cycles * r.lanes;
-  c.nodeFirings = r.stats.nodeFirings;
-  c.inputEvents = r.stats.inputEvents;
-  c.sweeps = r.stats.sweeps;
-  c.netResolutions = r.stats.netResolutions;
-  c.shortCircuitSkips = r.stats.shortCircuitSkips;
-  c.contentionChecks = r.stats.contentionChecks;
-  c.epochResets = r.stats.epochResets;
-  c.faults = r.errors.size();
-  for (const SimError& e : r.errors) {
-    if (e.code == Diag::SimContention) ++c.contentionFaults;
-  }
-  return c;
+  return simCounters("farm", r.stats, r.cycles, r.lanes, r.errors);
 }
 
 }  // namespace zeus

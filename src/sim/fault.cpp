@@ -7,6 +7,7 @@
 
 #include "src/core/batch_sim.h"
 #include "src/sim/snapshot.h"
+#include "src/sim/stimulus.h"
 #include "src/support/metrics.h"
 #include "src/support/trace.h"
 
@@ -18,49 +19,12 @@ metrics::Counter campaignsRun("fault-campaigns");
 metrics::Counter campaignBatches("fault-campaign-batches");
 metrics::Counter campaignFaults("fault-campaign-faults");
 
-/// Stateless mix for deriving independent per-batch stimulus streams from
-/// (seed, batch index): resuming at a batch boundary replays the exact
-/// stimulus of a straight run.
-uint64_t splitmix(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-uint64_t xorshift(uint64_t& s) {
-  s ^= s << 13;
-  s ^= s >> 7;
-  s ^= s << 17;
-  return s;
-}
-
-/// One observable primary-output bit.
-struct Observable {
-  std::string label;  ///< "s" or "s[3]" (1-based port index)
-  NetId net;
-};
-
-std::vector<Observable> observableOutputs(const SimGraph& g) {
-  std::vector<Observable> out;
-  for (const Port& p : g.design->ports) {
-    for (size_t b = 0; b < p.nets.size(); ++b) {
-      if (p.modes[b] == ast::ParamMode::In) continue;
-      std::string label =
-          p.nets.size() == 1 ? p.name
-                             : p.name + "[" + std::to_string(b + 1) + "]";
-      out.push_back({std::move(label), p.nets[b]});
-    }
-  }
-  return out;
-}
-
-std::vector<PortHandle> stimulusInputs(const SimGraph& g) {
-  std::vector<PortHandle> in;
-  for (const Port& p : g.design->ports) {
-    if (p.mode == ast::ParamMode::In) in.push_back(g.port(p.name));
-  }
-  return in;
+/// The detector label of an observable bit: "s", or "s[3]" (1-based
+/// port index) for an array port.
+std::string outputLabel(const Design& design, const Observable& obs) {
+  const Port& p = design.ports[obs.port];
+  return p.nets.size() == 1 ? p.name
+                            : p.name + "[" + std::to_string(obs.bit + 1) + "]";
 }
 
 }  // namespace
@@ -299,7 +263,7 @@ FaultCampaignReport runFaultCampaign(const SimGraph& graph,
           detected |= uint64_t{1} << lane;
           candidates &= ~(uint64_t{1} << lane);
           firstCycle[lane] = c;
-          detector[lane] = obs.label;
+          detector[lane] = outputLabel(*graph.design, obs);
         }
         if (!candidates) break;
       }

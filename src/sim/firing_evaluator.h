@@ -29,6 +29,21 @@ struct EvalStats {
   /// evaluator only); ~0 until a cycle completes, 0 after a trip.
   uint64_t watchdogMarginMin = ~uint64_t{0};
 
+  /// Adds another run's counters (the watchdog margin takes the minimum).
+  EvalStats& operator+=(const EvalStats& s) {
+    nodeFirings += s.nodeFirings;
+    inputEvents += s.inputEvents;
+    sweeps += s.sweeps;
+    netResolutions += s.netResolutions;
+    shortCircuitSkips += s.shortCircuitSkips;
+    contentionChecks += s.contentionChecks;
+    epochResets += s.epochResets;
+    if (s.watchdogMarginMin < watchdogMarginMin) {
+      watchdogMarginMin = s.watchdogMarginMin;
+    }
+    return *this;
+  }
+
   friend bool operator==(const EvalStats&, const EvalStats&) = default;
 };
 

@@ -113,9 +113,17 @@ SimGraph buildSimGraph(const Design& design, DiagnosticEngine& diags) {
     g.nets[i].multiDriven =
         driverLists[i].size() + (g.nets[i].isInput ? 1 : 0) > 1;
   }
+  g.regIndexOf.assign(nl.nodeCount(), SimGraph::kNotReg);
+  g.regInput.resize(g.regNodes.size());
+  for (size_t k = 0; k < g.regNodes.size(); ++k) {
+    g.regIndexOf[g.regNodes[k]] = static_cast<uint32_t>(k);
+    g.regInput[k] = g.denseOf[nl.node(g.regNodes[k]).inputs[0]];
+  }
 
-  // Topological sort (Kahn) over non-REG nodes; net levels on the fly.
+  // Topological sort (Kahn) over non-REG nodes, recording the levelized
+  // schedule and the net levels on the fly.
   g.netLevel.assign(g.denseCount, 0);
+  g.schedule.reserve(nl.nodeCount() - g.regNodes.size() + g.denseCount);
   std::vector<uint32_t> netPending(g.denseCount);
   std::vector<uint32_t> nodePending(nl.nodeCount(), 0);
   for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
@@ -124,10 +132,7 @@ SimGraph buildSimGraph(const Design& design, DiagnosticEngine& diags) {
     nodePending[ni] = static_cast<uint32_t>(node.inputs.size());
   }
   size_t processedNodes = 0;
-  size_t nonRegNodes = 0;
-  for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
-    if (nl.node(ni).op != NodeOp::Reg) ++nonRegNodes;
-  }
+  const size_t nonRegNodes = nl.nodeCount() - g.regNodes.size();
   std::vector<char> nodeDone(nl.nodeCount(), 0);
   std::vector<uint32_t> nodeLevel(nl.nodeCount(), 0);
   for (size_t i = 0; i < g.denseCount; ++i) {
@@ -136,7 +141,7 @@ SimGraph buildSimGraph(const Design& design, DiagnosticEngine& diags) {
   // Source nodes (Const/Random) complete immediately.
   for (NodeId ni : g.sourceNodes) {
     nodeDone[ni] = 1;
-    g.topoOrder.push_back(ni);
+    g.schedule.push_back({ni, /*isNode=*/true});
     ++processedNodes;
     const Node& node = nl.node(ni);
     if (node.output != kNoNet) --netPending[g.denseOf[node.output]];
@@ -148,6 +153,7 @@ SimGraph buildSimGraph(const Design& design, DiagnosticEngine& diags) {
   while (!readyNets.empty()) {
     uint32_t net = readyNets.front();
     readyNets.pop_front();
+    g.schedule.push_back({net, /*isNode=*/false});
     uint32_t level = g.netLevel[net];
     g.maxLevel = std::max(g.maxLevel, level);
     for (uint32_t e = g.consumerStart[net]; e < g.consumerStart[net + 1];
@@ -158,7 +164,7 @@ SimGraph buildSimGraph(const Design& design, DiagnosticEngine& diags) {
       nodeLevel[ni] = std::max(nodeLevel[ni], level + 1);
       if (--nodePending[ni] == 0) {
         nodeDone[ni] = 1;
-        g.topoOrder.push_back(ni);
+        g.schedule.push_back({ni, /*isNode=*/true});
         ++processedNodes;
         if (node.output != kNoNet) {
           uint32_t on = g.denseOf[node.output];

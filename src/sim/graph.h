@@ -1,7 +1,7 @@
 // The semantics graph (paper §8): the canonicalised netlist prepared for
 // evaluation — dense net numbering over alias-class roots, consumer edges,
-// combinational-cycle detection (REG is the only cycle breaker) and a
-// topological order for the naive evaluator and the SEQUENTIAL check.
+// combinational-cycle detection (REG is the only cycle breaker) and the
+// levelized schedule every levelized evaluator runs.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +50,8 @@ struct SimGraph {
     /// count EvalStats::contentionChecks off this static flag, which
     /// keeps the counter identical across scalar and batch engines.
     bool multiDriven = false;
+
+    friend bool operator==(const NetInfo&, const NetInfo&) = default;
   };
   std::vector<NetInfo> nets;  ///< per dense index
 
@@ -66,7 +68,25 @@ struct SimGraph {
   std::vector<NodeId> regNodes;
   std::vector<NodeId> sourceNodes;  ///< Const / Random (no net inputs)
 
-  std::vector<NodeId> topoOrder;    ///< non-REG nodes, topological
+  /// regIndexOf entry of a node that is not a REG.
+  static constexpr uint32_t kNotReg = 0xFFFFFFFFu;
+  std::vector<uint32_t> regIndexOf;  ///< NodeId -> regNodes index or kNotReg
+  std::vector<uint32_t> regInput;    ///< per regNodes index: input's slot
+
+  /// One schedule step: resolve dense net `index` from its drivers, or
+  /// evaluate node `index` from its already resolved input nets.
+  struct Step {
+    uint32_t index;
+    bool isNode;
+
+    friend bool operator==(const Step&, const Step&) = default;
+  };
+  /// The levelized schedule, recorded by the Kahn walk that levels the
+  /// graph: sourceNodes first and in order (the RANDOM stream order),
+  /// then every dense net once, after its non-REG drivers, and every
+  /// non-REG node once, after its input nets.  Its node steps are a
+  /// topological order of the non-REG nodes.  Partial when hasCycle.
+  std::vector<Step> schedule;
   std::vector<uint32_t> netLevel;   ///< per dense net, longest path depth
   uint32_t maxLevel = 0;
 
@@ -80,6 +100,8 @@ struct SimGraph {
   struct PortSlots {
     std::vector<uint32_t> dense;
     std::vector<uint64_t> boolMask;
+
+    friend bool operator==(const PortSlots&, const PortSlots&) = default;
   };
   std::vector<PortSlots> portSlots;  ///< per Design::ports index
 

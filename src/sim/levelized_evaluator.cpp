@@ -1,80 +1,16 @@
 #include "src/sim/levelized_evaluator.h"
 
-#include <deque>
-
+#include "src/sim/stimulus.h"
 #include "src/sim/value.h"
 #include "src/support/trace.h"
 
 namespace zeus {
-
-namespace {
-uint64_t xorshift(uint64_t& s) {
-  s ^= s << 13;
-  s ^= s >> 7;
-  s ^= s << 17;
-  return s;
-}
-}  // namespace
 
 LevelizedEvaluator::LevelizedEvaluator(const SimGraph& graph) : g_(graph) {
   ZEUS_TRACE_SPAN("levelize", "compile");
   const Netlist& nl = g_.design->netlist;
   nodeOut_.assign(nl.nodeCount(), Logic::Undef);
   nodeStamp_.assign(nl.nodeCount(), 0);
-  regIndexOf_.assign(nl.nodeCount(), kNotReg);
-  for (size_t k = 0; k < g_.regNodes.size(); ++k) {
-    regIndexOf_[g_.regNodes[k]] = static_cast<uint32_t>(k);
-  }
-  schedule_ = buildSchedule(graph);
-}
-
-std::vector<LevelizedEvaluator::Op> LevelizedEvaluator::buildSchedule(
-    const SimGraph& g) {
-  // Build the interleaved schedule with the same Kahn walk as
-  // buildSimGraph, emitting resolve/evaluate steps as they become legal.
-  // Source nodes go first in graph.sourceNodes order so RANDOM nodes draw
-  // from the rng stream in the same order as the other evaluators.
-  const Netlist& nl = g.design->netlist;
-  std::vector<Op> schedule;
-  schedule.reserve(nl.nodeCount() + g.denseCount);
-  std::vector<uint32_t> netPending(g.denseCount);
-  std::vector<uint32_t> nodePending(nl.nodeCount(), 0);
-  for (size_t i = 0; i < g.denseCount; ++i) {
-    netPending[i] = g.nets[i].nonRegDrivers;
-  }
-  for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
-    if (nl.node(ni).op != NodeOp::Reg) {
-      nodePending[ni] = static_cast<uint32_t>(nl.node(ni).inputs.size());
-    }
-  }
-  for (NodeId ni : g.sourceNodes) {
-    schedule.push_back({ni, /*isNode=*/true});
-    const Node& node = nl.node(ni);
-    if (node.output != kNoNet) --netPending[g.denseOf[node.output]];
-  }
-  std::deque<uint32_t> readyNets;
-  for (size_t i = 0; i < g.denseCount; ++i) {
-    if (netPending[i] == 0) readyNets.push_back(static_cast<uint32_t>(i));
-  }
-  while (!readyNets.empty()) {
-    uint32_t net = readyNets.front();
-    readyNets.pop_front();
-    schedule.push_back({net, /*isNode=*/false});
-    for (uint32_t e = g.consumerStart[net]; e < g.consumerStart[net + 1];
-         ++e) {
-      NodeId ni = g.consumers[e];
-      const Node& node = nl.node(ni);
-      if (node.op == NodeOp::Reg) continue;
-      if (--nodePending[ni] == 0) {
-        schedule.push_back({ni, /*isNode=*/true});
-        if (node.output != kNoNet) {
-          uint32_t on = g.denseOf[node.output];
-          if (--netPending[on] == 0) readyNets.push_back(on);
-        }
-      }
-    }
-  }
-  return schedule;
 }
 
 void LevelizedEvaluator::evaluate(const CycleSeeds& seeds, CycleResult& out) {
@@ -94,7 +30,7 @@ void LevelizedEvaluator::evaluate(const CycleSeeds& seeds, CycleResult& out) {
   const FaultPlan* faults =
       seeds.faults && seeds.faults->any ? seeds.faults : nullptr;
 
-  for (const Op& op : schedule_) {
+  for (const SimGraph::Step& op : g_.schedule) {
     if (!op.isNode) {
       // Resolve a net from seed + drivers (§8 strength rule).
       uint32_t i = op.index;
@@ -106,8 +42,8 @@ void LevelizedEvaluator::evaluate(const CycleSeeds& seeds, CycleResult& out) {
       }
       for (uint32_t e = g_.driverStart[i]; e < g_.driverStart[i + 1]; ++e) {
         NodeId d = g_.driverNodes[e];
-        uint32_t ri = regIndexOf_[d];
-        r.add(ri != kNotReg ? (*seeds.regValues)[ri]
+        uint32_t ri = g_.regIndexOf[d];
+        r.add(ri != SimGraph::kNotReg ? (*seeds.regValues)[ri]
                             : (nodeStamp_[d] == epoch_ ? nodeOut_[d]
                                                        : Logic::Undef));
       }
@@ -190,7 +126,8 @@ inline LanePlanes laneGateInput(LanePlanes c) {
 }  // namespace
 
 LevelizedBatchEvaluator::LevelizedBatchEvaluator(const SimGraph& graph)
-    : g_(graph), scalar_(graph) {
+    : g_(graph) {
+  ZEUS_TRACE_SPAN("levelize", "compile");
   const Netlist& nl = g_.design->netlist;
   nodeOut_.assign(nl.nodeCount(), {});
   nodeStamp_.assign(nl.nodeCount(), 0);
@@ -218,7 +155,7 @@ void LevelizedBatchEvaluator::evaluate(const BatchSeeds& seeds,
   }
   out.collisions.clear();
 
-  for (const LevelizedEvaluator::Op& op : scalar_.schedule_) {
+  for (const SimGraph::Step& op : g_.schedule) {
     if (!op.isNode) {
       uint32_t i = op.index;
       ++stats_.netResolutions;
@@ -239,8 +176,8 @@ void LevelizedBatchEvaluator::evaluate(const BatchSeeds& seeds,
       }
       for (uint32_t e = g_.driverStart[i]; e < g_.driverStart[i + 1]; ++e) {
         NodeId d = g_.driverNodes[e];
-        uint32_t ri = scalar_.regIndexOf_[d];
-        if (ri != LevelizedEvaluator::kNotReg) {
+        uint32_t ri = g_.regIndexOf[d];
+        if (ri != SimGraph::kNotReg) {
           contribute((*seeds.regValues)[ri]);
         } else {
           contribute(nodeStamp_[d] == epoch_

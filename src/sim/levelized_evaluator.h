@@ -1,15 +1,16 @@
 // Levelized evaluator: the cycle-compiled counterpart of the firing rules.
 //
-// The acyclic semantics graph is topologically levelized ONCE at
-// construction into a flat schedule of interleaved net-resolution and
-// node-evaluation steps.  A cycle is then one linear walk over dense
-// arrays — no worklist, no per-edge arrival events, no per-cycle
-// std::fill over the whole state: every slot is written before it is
-// read, and the few slots that need staleness protection (node outputs
-// read through driver edges) carry an epoch stamp instead of being
-// re-cleared.  The results are bit-identical to the firing evaluator.
+// buildSimGraph levelizes the acyclic semantics graph once into
+// SimGraph::schedule, a flat list of interleaved net-resolution and
+// node-evaluation steps shared by every evaluator over that graph.  A
+// cycle is then one linear walk over dense arrays — no worklist, no
+// per-edge arrival events, no per-cycle std::fill over the whole
+// state: every slot is written before it is read, and the few slots that
+// need staleness protection (node outputs read through driver edges)
+// carry an epoch stamp instead of being re-cleared.  The results are
+// bit-identical to the firing evaluator.
 //
-// On top of the same schedule sits a 64-wide batch mode: 64 independent
+// The same schedule drives a 64-wide batch mode: 64 independent
 // stimulus lanes are packed into two 64-bit planes per net (four-valued
 // logic as 2 bits per lane) and every gate evaluates all lanes with a
 // handful of word-parallel boolean ops.  The §8 at-most-one-driver check
@@ -36,26 +37,8 @@ class LevelizedEvaluator {
   void setStats(const EvalStats& s) { stats_ = s; }
 
  private:
-  friend class LevelizedBatchEvaluator;
-
-  /// One schedule step: resolve a dense net from its drivers, or
-  /// evaluate a node from its (already resolved) input nets.
-  struct Op {
-    uint32_t index;
-    bool isNode;
-  };
-
-  /// NodeId -> index into graph.regNodes, or kNotReg.
-  static constexpr uint32_t kNotReg = 0xFFFFFFFFu;
-
-  /// Builds the interleaved resolve/evaluate schedule with the same Kahn
-  /// walk as buildSimGraph.
-  [[nodiscard]] static std::vector<Op> buildSchedule(const SimGraph& graph);
-
   const SimGraph& g_;
   EvalStats stats_;
-  std::vector<Op> schedule_;
-  std::vector<uint32_t> regIndexOf_;
 
   // Node outputs, epoch-stamped: an entry is valid only when its stamp
   // matches the current cycle's epoch, so nothing is re-filled per cycle.
@@ -144,12 +127,10 @@ class LevelizedBatchEvaluator {
 
  private:
   const SimGraph& g_;
-  LevelizedEvaluator scalar_;  ///< owns the shared schedule
   EvalStats stats_;
   std::vector<LanePlanes> nodeOut_;
   std::vector<uint64_t> nodeStamp_;
   uint64_t epoch_ = 0;
-  std::vector<LanePlanes> scratch_;
 };
 
 }  // namespace zeus

@@ -2,18 +2,10 @@
 
 #include <cassert>
 
+#include "src/sim/stimulus.h"
 #include "src/sim/value.h"
 
 namespace zeus {
-
-namespace {
-uint64_t xorshift(uint64_t& s) {
-  s ^= s << 13;
-  s ^= s >> 7;
-  s ^= s << 17;
-  return s;
-}
-}  // namespace
 
 NaiveEvaluator::NaiveEvaluator(const SimGraph& graph) : g_(graph) {
   nodeOut_.assign(g_.design->netlist.nodeCount(), Logic::Undef);

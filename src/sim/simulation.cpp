@@ -257,13 +257,11 @@ void Simulation::runCycle(bool latch) {
   if (result_.watchdogTripped) return;
   if (!latch) return;
   if (profiling_) profileCycle();
-  const Netlist& nl = g_.design->netlist;
   // Two-phase latch: every register reads its input's resolved value from
   // this cycle; "if in is not changed during a clock cycle, it keeps its
   // value" (§5.1) — no active assignment means keep.
   for (size_t k = 0; k < g_.regNodes.size(); ++k) {
-    const Node& reg = nl.node(g_.regNodes[k]);
-    uint32_t in = g_.dense(reg.inputs[0]);
+    const uint32_t in = g_.regInput[k];
     if (result_.activeCounts[in] > 0) {
       Logic v = result_.netValues[in];
       regValues_[k] = v == Logic::NoInfl ? Logic::Undef : v;
@@ -383,18 +381,16 @@ void Simulation::resetStats() {
   else levelized_->resetStats();
 }
 
-metrics::SimCounters Simulation::metricsCounters() const {
-  const EvalStats& s = stats();
+metrics::SimCounters simCounters(const char* evaluator, const EvalStats& s,
+                                 uint64_t cycles, uint64_t lanes,
+                                 const std::vector<SimError>& errors,
+                                 bool watchdog) {
   metrics::SimCounters c;
   c.ran = true;
-  switch (kind_) {
-    case EvaluatorKind::Firing: c.evaluator = "firing"; break;
-    case EvaluatorKind::Naive: c.evaluator = "naive"; break;
-    case EvaluatorKind::Levelized: c.evaluator = "levelized"; break;
-  }
-  c.cycles = cycle_;
-  c.lanes = 1;
-  c.laneCycles = cycle_;
+  c.evaluator = evaluator;
+  c.cycles = cycles;
+  c.lanes = lanes;
+  c.laneCycles = cycles * lanes;
   c.nodeFirings = s.nodeFirings;
   c.inputEvents = s.inputEvents;
   c.sweeps = s.sweeps;
@@ -402,16 +398,23 @@ metrics::SimCounters Simulation::metricsCounters() const {
   c.shortCircuitSkips = s.shortCircuitSkips;
   c.contentionChecks = s.contentionChecks;
   c.epochResets = s.epochResets;
-  if (kind_ == EvaluatorKind::Firing &&
-      s.watchdogMarginMin != ~uint64_t{0}) {
+  if (watchdog && s.watchdogMarginMin != ~uint64_t{0}) {
     c.watchdogMarginMin = static_cast<int64_t>(
         std::min<uint64_t>(s.watchdogMarginMin, INT64_MAX));
   }
-  c.faults = errors_.size();
-  for (const SimError& e : errors_) {
+  c.faults = errors.size();
+  for (const SimError& e : errors) {
     if (e.code == Diag::SimContention) ++c.contentionFaults;
   }
   return c;
+}
+
+metrics::SimCounters Simulation::metricsCounters() const {
+  const char* name = kind_ == EvaluatorKind::Firing  ? "firing"
+                     : kind_ == EvaluatorKind::Naive ? "naive"
+                                                     : "levelized";
+  return simCounters(name, stats(), cycle_, 1, errors_,
+                     kind_ == EvaluatorKind::Firing);
 }
 
 metrics::ActivityReport Simulation::activityReport(size_t topHottest,

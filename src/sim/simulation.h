@@ -46,6 +46,15 @@ struct SimError {
   friend bool operator==(const SimError&, const SimError&) = default;
 };
 
+/// The metrics counter snapshot of a run of `cycles` cycles on `lanes`
+/// lanes: its evaluator counters and the tally of its SimErrors.  The
+/// watchdog margin is reported only when `watchdog` is set (the firing
+/// evaluator) and a cycle completed.
+[[nodiscard]] metrics::SimCounters simCounters(
+    const char* evaluator, const EvalStats& s, uint64_t cycles,
+    uint64_t lanes, const std::vector<SimError>& errors,
+    bool watchdog = false);
+
 /// Complete simulation state at a cycle boundary: everything needed to
 /// resume a run bit-identically — registers, pending inputs, the RANDOM
 /// stream, the cycle count, accumulated SimErrors, cumulative evaluator

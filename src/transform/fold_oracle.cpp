@@ -29,8 +29,8 @@ FoldOracle::FoldOracle(const Design& d, const SimGraph& graph)
 }
 
 /// Folds the class's drivers once all of them have a nodeConst /
-/// nodeAlways entry (guaranteed by topological order for non-REG drivers;
-/// REG drivers are pre-seeded).
+/// nodeAlways entry (guaranteed by the schedule for non-REG drivers; REG
+/// drivers are pre-seeded).
 void FoldOracle::finalizeNet(uint32_t dn) {
   if (netDone[dn]) return;
   netDone[dn] = 1;
@@ -54,8 +54,8 @@ void FoldOracle::finalizeNet(uint32_t dn) {
   if (allKnown && !isInput) netConst[dn] = known(r.value);
 }
 
-/// One topological sweep computing nodeConst/nodeAlways (and net results
-/// on the fly).  Mirrors the firing evaluator's semantics: value.h is the
+/// One walk of the levelized schedule computing nodeConst/nodeAlways and,
+/// at each net's resolve step, the net results.  Mirrors the firing evaluator's semantics: value.h is the
 /// shared source of truth for gate behaviour.
 void FoldOracle::fold() {
   netConst.assign(g.denseCount, kUnknown);
@@ -68,9 +68,13 @@ void FoldOracle::fold() {
   for (NodeId ni : g.regNodes) nodeAlways[ni] = 1;
 
   std::vector<Logic> vals;
-  for (NodeId ni : g.topoOrder) {
+  for (const SimGraph::Step& step : g.schedule) {
+    if (!step.isNode) {
+      finalizeNet(step.index);
+      continue;
+    }
+    const NodeId ni = step.index;
     const Node& node = nl.node(ni);
-    for (NetId in : node.inputs) finalizeNet(g.dense(in));
     switch (node.op) {
       case NodeOp::Const:
         nodeConst[ni] = known(node.constVal);
@@ -157,11 +161,9 @@ void FoldOracle::fold() {
         break;
       }
       case NodeOp::Reg:
-        break;  // pre-seeded, not in topoOrder
+        break;  // pre-seeded, never scheduled
     }
   }
-  // Nets no non-REG node reads (REG inputs, outputs): fold them too.
-  for (uint32_t dn = 0; dn < g.denseCount; ++dn) finalizeNet(dn);
 }
 
 /// Backward reachability from the observable frontier: OUT/INOUT port

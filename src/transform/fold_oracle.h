@@ -37,7 +37,7 @@ struct FoldOracle {
   std::vector<char> live;  ///< class reaches an OUT/INOUT port (backwards)
 
   /// Runs fold + liveness eagerly; `g` must be acyclic (callers check
-  /// SimGraph::hasCycle first — topological order is the sweep order).
+  /// SimGraph::hasCycle first — SimGraph::schedule is the sweep order).
   FoldOracle(const Design& d, const SimGraph& graph);
 
   [[nodiscard]] uint32_t driverCount(uint32_t dn) const {

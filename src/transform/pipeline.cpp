@@ -1,9 +1,10 @@
 #include "src/transform/pipeline.h"
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "src/sim/graph.h"
 #include "src/support/metrics.h"
 #include "src/support/trace.h"
 #include "src/transform/fold_oracle.h"
@@ -258,9 +259,10 @@ OptReport optimizeDesign(Design& design, DiagnosticEngine& diags,
     report.passes.push_back(fold);
     optNodesFolded.add(fold.nodesFolded);
 
-    // Folding only removes edges, so the rebuild cannot find a new cycle.
-    g = buildSimGraph(design, diags);
-
+    // DCE runs on the pre-fold graph: fold keeps every node and its output
+    // net and only clears input edges, so the driver CSR, the dense
+    // numbering and multiDriven are unchanged, and DCE reads input cones
+    // from the live netlist.
     PassStats dce;
     dce.pass = "dce";
     dce.nodesRemoved = runDce(design, g);
@@ -303,6 +305,7 @@ OptReport optimizeDesign(Design& design, DiagnosticEngine& diags,
                     report.verifyError +
                     " (internal error; please report this design)");
   }
+  report.graph = std::make_unique<SimGraph>(std::move(g));
   return report;
 }
 

@@ -1,6 +1,6 @@
 // The graph optimization pipeline (ROADMAP item 3): const-fold, dead-node
 // elimination and alias-class collapse over the elaborated design, run
-// between elaboration and buildSimGraph.  Every pass preserves observable
+// between elaboration and simulation.  Every pass preserves observable
 // behaviour exactly — latched values, SimErrors and RANDOM streams are
 // bit-identical at every level — and the post-pass verifier
 // (src/transform/verify.h) re-checks the graph from first principles on
@@ -8,10 +8,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/elab/design.h"
+#include "src/sim/graph.h"
 #include "src/support/diagnostics.h"
 
 namespace zeus {
@@ -41,6 +43,11 @@ struct OptReport {
   uint64_t denseBefore = 0, denseAfter = 0;
   std::vector<PassStats> passes;
 
+  /// The semantics graph of the optimized design, the one the verifier
+  /// checked; null when the design is cyclic.  It borrows the Design, so
+  /// simulate on it instead of building another.
+  std::unique_ptr<SimGraph> graph;
+
   [[nodiscard]] uint64_t totalFolded() const;
   [[nodiscard]] uint64_t totalRemoved() const;
   [[nodiscard]] uint64_t totalDropped() const;
@@ -50,7 +57,9 @@ struct OptReport {
   [[nodiscard]] std::string renderJson(const std::string& designName) const;
 };
 
-/// Runs the pipeline in place on `design` and verifies the result.
+/// Runs the pipeline in place on `design`, verifies the result and hands
+/// the verified graph back in OptReport::graph.  A compile builds the
+/// graph once at -O0 and twice at -O1 (on entry and after the passes).
 /// CombinationalLoop (cyclic design) is reported through `diags` exactly
 /// once per compilation; a verifier failure reports
 /// Diag::OptimizerVerifyFailed (an internal error, never a user error).

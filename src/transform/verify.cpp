@@ -171,43 +171,89 @@ std::string verifyGraph(const Design& design, const SimGraph& g) {
     prevSource = ni;
     firstSource = false;
   }
-  std::vector<uint32_t> topoPos(nl.nodeCount(), 0);
-  for (size_t k = 0; k < g.topoOrder.size(); ++k) {
-    NodeId ni = g.topoOrder[k];
+  if (g.regIndexOf.size() != nl.nodeCount() ||
+      g.regInput.size() != g.regNodes.size()) {
+    return "REG tables have wrong size";
+  }
+  for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
+    const uint32_t k = g.regIndexOf[ni];
+    if (k == SimGraph::kNotReg) continue;
+    if (k >= g.regNodes.size() || g.regNodes[k] != ni) {
+      return at("regIndexOf stale at node", ni);
+    }
+  }
+  for (size_t k = 0; k < g.regNodes.size(); ++k) {
+    const NodeId ni = g.regNodes[k];
+    if (g.regIndexOf[ni] != k) return at("regIndexOf misses REG node", ni);
+    if (g.regInput[k] != g.denseOf[nl.node(ni).inputs[0]]) {
+      return at("regInput stale at REG node", ni);
+    }
+  }
+
+  // --- the schedule ----------------------------------------------------
+  // Every non-REG node and every dense net has exactly one step.
+  constexpr uint32_t kUnscheduled = 0xFFFFFFFFu;
+  std::vector<uint32_t> nodePos(nl.nodeCount(), kUnscheduled);
+  std::vector<uint32_t> netPos(g.denseCount, kUnscheduled);
+  for (size_t k = 0; k < g.schedule.size(); ++k) {
+    const SimGraph::Step& step = g.schedule[k];
+    if (!step.isNode) {
+      if (step.index >= g.denseCount) {
+        return at("schedule resolves a bad net:", step.index);
+      }
+      if (netPos[step.index] != kUnscheduled) {
+        return at("net scheduled twice:", step.index);
+      }
+      netPos[step.index] = static_cast<uint32_t>(k);
+      continue;
+    }
+    NodeId ni = step.index;
     if (ni >= nl.nodeCount() || nl.node(ni).op == NodeOp::Reg) {
-      return at("topoOrder holds a REG or bad node:", ni);
+      return at("schedule holds a REG or bad node:", ni);
     }
     if (seen[ni]) return at("node listed twice:", ni);
     seen[ni] = 1;
-    topoPos[ni] = static_cast<uint32_t>(k);
+    nodePos[ni] = static_cast<uint32_t>(k);
   }
   for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
-    if (!seen[ni]) return at("node missing from topoOrder/regNodes:", ni);
+    if (!seen[ni]) return at("node missing from schedule/regNodes:", ni);
+  }
+  for (uint32_t dn = 0; dn < g.denseCount; ++dn) {
+    if (netPos[dn] == kUnscheduled) return at("net missing from schedule:", dn);
+  }
+  // The sources lead, in sourceNodes order: the RANDOM stream order.
+  for (size_t k = 0; k < g.sourceNodes.size(); ++k) {
+    if (!g.schedule[k].isNode || g.schedule[k].index != g.sourceNodes[k]) {
+      return at("schedule does not open with sourceNodes at step", k);
+    }
   }
 
-  // --- topological order and levels ------------------------------------
+  // --- dependences and levels ------------------------------------------
   if (g.netLevel.size() != g.denseCount) return "netLevel size mismatch";
   uint32_t maxLevel = 0;
   for (uint32_t dn = 0; dn < g.denseCount; ++dn) {
     maxLevel = std::max(maxLevel, g.netLevel[dn]);
   }
   if (maxLevel != g.maxLevel) return "maxLevel stale";
-  for (NodeId ni : g.topoOrder) {
+  for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
     const Node& node = nl.node(ni);
+    if (node.op == NodeOp::Reg) continue;
+    // A node is evaluated after its input nets are resolved, and a net is
+    // resolved after its non-REG drivers are evaluated.
+    for (NetId in : node.inputs) {
+      if (netPos[g.denseOf[in]] > nodePos[ni]) {
+        return at("schedule evaluates a node before its input net: node",
+                  ni);
+      }
+    }
     if (node.output == kNoNet) continue;
     uint32_t on = g.denseOf[node.output];
+    if (nodePos[ni] > netPos[on]) {
+      return at("schedule resolves a net before its driver: node", ni);
+    }
     for (NetId in : node.inputs) {
-      uint32_t dn = g.denseOf[in];
-      if (g.netLevel[on] < g.netLevel[dn] + 1) {
+      if (g.netLevel[on] < g.netLevel[g.denseOf[in]] + 1) {
         return at("netLevel not monotone across node", ni);
-      }
-      // Every non-REG driver of an input net must precede this node.
-      for (uint32_t e = g.driverStart[dn]; e < g.driverStart[dn + 1]; ++e) {
-        NodeId d = g.driverNodes[e];
-        if (nl.node(d).op == NodeOp::Reg) continue;
-        if (topoPos[d] >= topoPos[ni]) {
-          return at("topoOrder violates a dependence at node", ni);
-        }
       }
     }
   }

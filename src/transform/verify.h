@@ -20,9 +20,13 @@ namespace zeus {
 ///     (exact node sets, exact input positions);
 ///   * NetInfo: nonRegDrivers / regDriven / isBool / isInput / multiDriven
 ///     equal a fresh recomputation over the netlist;
-///   * node partition: regNodes / sourceNodes / topoOrder cover every node
-///     exactly once, sourceNodes in NodeId order (the RANDOM stream
-///     contract), topoOrder topologically sorted;
+///   * node partition: regNodes and the schedule's node steps cover every
+///     node exactly once, sourceNodes in NodeId order (the RANDOM stream
+///     contract); regIndexOf and regInput match regNodes;
+///   * the schedule the levelized evaluators run: every dense net has
+///     exactly one resolve step, the sourceNodes open it in order, each
+///     node step follows its input nets' resolve steps and each resolve
+///     step follows its non-REG drivers' node steps;
 ///   * netLevel is a longest-path labelling consistent with the edges.
 ///
 /// Returns "" when the graph is well-formed, else a one-line description

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "src/core/batch_serve.h"
+#include "src/support/trace.h"
 
 namespace zeus::test {
 namespace {
@@ -127,6 +128,33 @@ TEST(Serve, InlineSourceCompilesAndFailsGracefully) {
   EXPECT_EQ(stats.failures, 1u);
   EXPECT_TRUE(contains(resp, "\"ok\": false"));
   EXPECT_TRUE(contains(resp, "compile failed"));
+}
+
+// A miss builds the semantics graph once per optimizer build and hands
+// that graph to the farm: once at opt 0, twice at opt 1 (on entry and
+// after the passes), and never again for serving.
+TEST(Serve, MissBuildsTheGraphOnlyInTheOptimizer) {
+  for (int opt : {0, 1}) {
+    const std::string req =
+        R"({"requests": [{"id": "m", "top": "top", "cycles": 4, "lanes": 8,)"
+        R"( "opt": )" + std::to_string(opt) +
+        R"(, "source": "TYPE t = COMPONENT (IN a: boolean; OUT y: boolean))"
+        R"( IS SIGNAL r: REG; BEGIN r.in := NOT a; y := AND(r.out, a) END;)"
+        R"( SIGNAL top: t;"}]})";
+    trace::clear();
+    trace::setEnabled(true);
+    ServeStats stats;
+    std::string resp = runServeBatch(req, ServeOptions{}, &stats);
+    trace::setEnabled(false);
+    size_t builds = 0;
+    for (const trace::Event& e : trace::snapshot()) {
+      if (std::string(e.name) == "graph-build") ++builds;
+    }
+    trace::clear();
+    ASSERT_EQ(stats.failures, 0u) << resp;
+    EXPECT_EQ(stats.compiles, 1u);
+    EXPECT_EQ(builds, opt == 1 ? 2u : 1u) << "opt " << opt;
+  }
 }
 
 }  // namespace

@@ -431,11 +431,75 @@ TEST(Verifier, RejectsTamperedGraphs) {
     h.maxLevel += 1;
     EXPECT_NE(verifyGraph(*b.design, h), "");
   }
-  {  // a node leaking out of the topoOrder partition
+  {  // a node leaking out of the schedule's node steps
     SimGraph h = g;
-    ASSERT_FALSE(h.topoOrder.empty());
-    h.topoOrder.pop_back();
+    auto last = std::find_if(h.schedule.rbegin(), h.schedule.rend(),
+                             [](const SimGraph::Step& s) { return s.isNode; });
+    ASSERT_NE(last, h.schedule.rend());
+    h.schedule.erase(std::next(last).base());
     EXPECT_NE(verifyGraph(*b.design, h), "");
+  }
+  {  // a node step moved before its input net's resolve step
+    SimGraph h = g;
+    const Netlist& nl = b.design->netlist;
+    auto node = std::find_if(
+        h.schedule.begin(), h.schedule.end(), [&](const SimGraph::Step& s) {
+          return s.isNode && !nl.node(s.index).inputs.empty();
+        });
+    ASSERT_NE(node, h.schedule.end());
+    const uint32_t in = h.dense(nl.node(node->index).inputs[0]);
+    auto net = std::find_if(
+        h.schedule.begin(), h.schedule.end(),
+        [&](const SimGraph::Step& s) { return !s.isNode && s.index == in; });
+    ASSERT_LT(net, node);
+    std::rotate(net, node, std::next(node));
+    EXPECT_NE(verifyGraph(*b.design, h), "");
+  }
+  {  // a net's resolve step dropped
+    SimGraph h = g;
+    auto net = std::find_if(h.schedule.begin(), h.schedule.end(),
+                            [](const SimGraph::Step& s) { return !s.isNode; });
+    ASSERT_NE(net, h.schedule.end());
+    h.schedule.erase(net);
+    EXPECT_NE(verifyGraph(*b.design, h), "");
+  }
+}
+
+// The graph optimize() hands back is the graph of the design it leaves
+// behind: a pass that changed the design after its graph was taken shows
+// up as a difference from a fresh build.
+TEST(OptimizeGraph, ReturnedGraphMatchesAFreshBuild) {
+  for (const corpus::CorpusEntry& e : corpus::all()) {
+    for (int level : {0, 1}) {
+      std::string top;
+      std::string src = corpusSource(e, &top);
+      Built b = buildOk(src, top);
+      OptOptions opts;
+      opts.level = level;
+      OptReport rep = b.comp->optimize(*b.design, opts);
+      ASSERT_TRUE(rep.graph) << e.name << " -O" << level;
+      const SimGraph& g = *rep.graph;
+      const SimGraph fresh = buildSimGraph(*b.design, b.comp->diags());
+      SCOPED_TRACE(std::string(e.name) + " -O" + std::to_string(level));
+      EXPECT_EQ(g.design, b.design.get());
+      EXPECT_EQ(g.denseOf, fresh.denseOf);
+      EXPECT_EQ(g.rootOf, fresh.rootOf);
+      EXPECT_EQ(g.denseCount, fresh.denseCount);
+      EXPECT_TRUE(g.nets == fresh.nets);
+      EXPECT_EQ(g.consumerStart, fresh.consumerStart);
+      EXPECT_EQ(g.consumers, fresh.consumers);
+      EXPECT_EQ(g.consumerInputIdx, fresh.consumerInputIdx);
+      EXPECT_EQ(g.driverStart, fresh.driverStart);
+      EXPECT_EQ(g.driverNodes, fresh.driverNodes);
+      EXPECT_EQ(g.regNodes, fresh.regNodes);
+      EXPECT_EQ(g.sourceNodes, fresh.sourceNodes);
+      EXPECT_EQ(g.regIndexOf, fresh.regIndexOf);
+      EXPECT_EQ(g.regInput, fresh.regInput);
+      EXPECT_TRUE(g.schedule == fresh.schedule);
+      EXPECT_EQ(g.netLevel, fresh.netLevel);
+      EXPECT_EQ(g.maxLevel, fresh.maxLevel);
+      EXPECT_TRUE(g.portSlots == fresh.portSlots);
+    }
   }
 }
 

@@ -98,16 +98,15 @@ bool runOne(const uint8_t* data, size_t size) {
                      opt.verifyError.c_str());
         return false;
       }
-      // Simulate the *optimized* design: the evaluators must behave on
-      // post-pipeline graphs too.
-      graph = zeus::buildSimGraph(*design, comp->diags());
-      if (graph.hasCycle) continue;
+      // Simulate the *optimized* design on the graph the pipeline
+      // verified: the evaluators must behave on post-pipeline graphs too.
+      if (!opt.graph) continue;  // cyclic: reported as CombinationalLoop
       zeus::Simulation::Options sopts;
       sopts.maxEventsPerCycle = 1u << 22;
       sopts.maxSimMillis = 2000;
       sopts.usage = comp->usage();
       sopts.profileActivity = true;
-      zeus::Simulation sim(graph, sopts);
+      zeus::Simulation sim(*opt.graph, sopts);
       sim.setRandomSeed(0x5eedull);
       sim.step(4);  // runtime faults land in sim.errors(), not here
       comp->recordSimulation(sim);
