@@ -239,8 +239,8 @@ bool runOptBench(int width, uint64_t cycles, OptBenchResult& r) {
 // Multi-core farm scaling: the same design at 1/2/4 worker threads over
 // 4 blocks × 64 lanes, against one 64-lane BatchSimulation running the
 // same lane-cycle volume.  The farm's determinism contract means every
-// row (and the scalar oracle) must produce the same merged checksum — the
-// thread sweep is also a differential test.
+// row must produce the same merged checksum — the thread sweep is also a
+// differential test.
 //
 // The sweep is sized by time, not by --cycles: cycles per lane grow until
 // every thread row lasts at least kFarmRowMinSeconds, so the rows time
@@ -248,10 +248,17 @@ bool runOptBench(int width, uint64_t cycles, OptBenchResult& r) {
 // with the median farm-vs-batch64 speedup is reported.  Scaling itself is
 // only meaningful when the host has the cores; BENCH_sim.json records
 // host_cores so the checker can gate the speedup assertion on it.
+//
+// The oracle check has its own fixed size, kOracleCycles per lane: the
+// firing-rule oracle (runFarmScalarOracle) runs once, and the farm at 1,
+// 2 and 4 threads must match it bit for bit.  The time-sized sweeps then
+// only have to agree with each other, so the oracle's cost does not grow
+// with the host's speed.
 // ---------------------------------------------------------------------
 
 constexpr double kFarmRowMinSeconds = 0.2;
 constexpr int kFarmSweeps = 3;
+constexpr uint64_t kOracleCycles = 256;
 
 /// The cycle count to try next when a run of `cycles` lasted `seconds`
 /// but must last at least `minSeconds`: aim 1.5x past the floor, growing
@@ -296,7 +303,8 @@ struct FarmBenchResult {
   unsigned hostCores = 0;
   FarmSweep median;                     ///< the reported sweep
   std::vector<double> sweepSpeedups;    ///< speedup_vs_batch64, run order
-  uint64_t oracleChecksum = 0;
+  uint64_t oracleChecksum = 0;          ///< kOracleCycles per lane
+  std::vector<uint64_t> oracleFarmChecksums;  ///< same size, 1/2/4 threads
 
   [[nodiscard]] double speedup4v1() const {
     const std::vector<FarmThreadRun>& runs = median.runs;
@@ -358,20 +366,35 @@ bool runFarmBench(const zeus::SimGraph& g, int width, FarmBenchResult& r) {
               return a.speedupVsBatch64() < b.speedupVsBatch64();
             });
   r.median = sweeps[sweeps.size() / 2];
-
-  zeus::FarmReport oracle = zeus::runFarmScalarOracle(g, opts);
-  r.oracleChecksum = oracle.mergedChecksum();
+  const uint64_t sweepChecksum = sweeps[0].runs[0].checksum;
   for (const FarmSweep& s : sweeps) {
     for (const FarmThreadRun& run : s.runs) {
-      if (run.checksum != r.oracleChecksum) {
+      if (run.checksum != sweepChecksum) {
         std::fprintf(stderr,
                      "farm checksum mismatch at %zu thread(s): %llx != "
-                     "oracle %llx\n",
+                     "%llx at 1 thread\n",
                      run.threads,
                      static_cast<unsigned long long>(run.checksum),
-                     static_cast<unsigned long long>(r.oracleChecksum));
+                     static_cast<unsigned long long>(sweepChecksum));
         return false;
       }
+    }
+  }
+
+  opts.cycles = kOracleCycles;
+  const zeus::FarmReport oracle = zeus::runFarmScalarOracle(g, opts);
+  r.oracleChecksum = oracle.mergedChecksum();
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    opts.threads = threads;
+    const zeus::FarmReport rep = zeus::runFarm(g, opts);
+    r.oracleFarmChecksums.push_back(rep.mergedChecksum());
+    if (rep.checksums != oracle.checksums ||
+        rep.rngStates != oracle.rngStates || rep.errors != oracle.errors) {
+      std::fprintf(stderr,
+                   "farm at %zu thread(s) differs from the firing oracle "
+                   "over %llu cycles per lane\n",
+                   threads, static_cast<unsigned long long>(kOracleCycles));
+      return false;
     }
   }
   return true;
@@ -471,7 +494,13 @@ void emitJson(const std::string& path, int width, uint64_t cycles,
   out << "    ],\n"
       << "    \"batch64_lane_cycles_per_sec\": "
       << farm.median.batch64LaneCyclesPerSec << ",\n"
+      << "    \"oracle_cycles_per_lane\": " << kOracleCycles << ",\n"
       << "    \"oracle_checksum\": " << farm.oracleChecksum << ",\n"
+      << "    \"oracle_farm_checksums\": [";
+  for (size_t i = 0; i < farm.oracleFarmChecksums.size(); ++i) {
+    out << (i ? ", " : "") << farm.oracleFarmChecksums[i];
+  }
+  out << "],\n"
       << "    \"speedup_4_vs_1\": " << farm.speedup4v1() << ",\n"
       << "    \"speedup_vs_batch64\": " << farm.median.speedupVsBatch64()
       << ",\n"
@@ -492,25 +521,25 @@ void emitJson(const std::string& path, int width, uint64_t cycles,
 // Overhead mode (--overhead): the zero-overhead-when-disabled guard.
 // ---------------------------------------------------------------------
 
-/// Raw levelized loop: evaluator + two-phase register latch, nothing
-/// else.  This is the uninstrumented wall-clock the facade competes with.
+/// Raw levelized loop: the kernel on lane 0 + two-phase register latch,
+/// nothing else.  This is the uninstrumented wall-clock the facade
+/// competes with.
 class BareLoop {
  public:
   explicit BareLoop(const zeus::SimGraph& g)
       : g_(g),
         eval_(g),
-        inputValues_(g.denseCount, zeus::Logic::Undef),
-        inputSet_(g.denseCount, 0),
-        regValues_(g.regNodes.size(), zeus::Logic::Undef) {
-    const uint32_t clk = g.dense(g.design->clk);
-    inputValues_[clk] = zeus::Logic::One;
-    inputSet_[clk] = 1;
-    const uint32_t rset = g.dense(g.design->rset);
-    inputValues_[rset] = zeus::Logic::Zero;
-    inputSet_[rset] = 1;
+        inputValues_(g.denseCount),
+        regValues_(g.regNodes.size(),
+                   zeus::lanesBroadcast(zeus::Logic::Undef, 1)) {
+    inputValues_[g.dense(g.design->clk)] =
+        zeus::lanesBroadcast(zeus::Logic::One, 1);
+    inputValues_[g.dense(g.design->rset)] =
+        zeus::lanesBroadcast(zeus::Logic::Zero, 1);
     seeds_.inputValues = &inputValues_;
-    seeds_.inputSet = &inputSet_;
     seeds_.regValues = &regValues_;
+    seeds_.rngStates = &rngState_;
+    seeds_.laneMask = 1;
   }
 
   void run(uint64_t cycles) {
@@ -518,22 +547,23 @@ class BareLoop {
       eval_.evaluate(seeds_, result_);
       for (size_t k = 0; k < g_.regNodes.size(); ++k) {
         const uint32_t in = g_.regInput[k];
-        if (result_.activeCounts[in] > 0) {
-          zeus::Logic v = result_.netValues[in];
-          regValues_[k] = v == zeus::Logic::NoInfl ? zeus::Logic::Undef : v;
-        }
+        const uint64_t act = result_.activeAny[in] & 1;
+        const zeus::LanePlanes& v = result_.netValues[in];
+        zeus::LanePlanes& r = regValues_[k];
+        r.p0 = (v.p0 & act) | (r.p0 & ~act);
+        r.p1 = (v.p1 & act) | (r.p1 & ~act);
       }
     }
   }
 
  private:
   const zeus::SimGraph& g_;
-  zeus::LevelizedEvaluator eval_;
-  std::vector<zeus::Logic> inputValues_;
-  std::vector<char> inputSet_;
-  std::vector<zeus::Logic> regValues_;
-  zeus::CycleSeeds seeds_;
-  zeus::CycleResult result_;
+  zeus::LevelizedBatchEvaluator eval_;
+  std::vector<zeus::LanePlanes> inputValues_;
+  std::vector<zeus::LanePlanes> regValues_;
+  uint64_t rngState_ = zeus::kDefaultRngSeed;
+  zeus::BatchSeeds seeds_;
+  zeus::BatchCycleResult result_;
 };
 
 /// Every arm of every rep lasts at least this long: the reps are sized by
@@ -701,7 +731,7 @@ int main(int argc, char** argv) {
   if (!runOptBench(width, cycles, opt)) return 1;
 
   // Farm scaling sweeps (1/2/4 threads, 4 blocks × 64 lanes, sized by
-  // time) plus the scalar-oracle checksum cross-check.
+  // time) plus the fixed-size firing-oracle cross-check.
   FarmBenchResult farm;
   if (!runFarmBench(g, width, farm)) return 1;
 

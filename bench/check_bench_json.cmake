@@ -171,14 +171,19 @@ if(ospeed LESS_EQUAL 0)
 endif()
 
 # farm: the multi-core scaling block (docs/simulator.md).  Checksum
-# equality across thread counts and against the scalar oracle is asserted
-# unconditionally — that is the determinism contract.  Every thread row
-# must last >= 0.2 s (the bench sizes the sweep by time), so the speedup
-# measures simulation, not thread start-up.  The 4-thread speedup is only
+# equality is asserted unconditionally — that is the determinism
+# contract: the time-sized thread rows must agree with each other, and a
+# fixed-size farm run at 1, 2 and 4 threads must match the firing-rule
+# oracle over oracle_cycles_per_lane cycles.  Checksums are compared as
+# strings: if(EQUAL) parses numbers as signed 64-bit integers, and two
+# checksums above INT64_MAX compare equal whatever their value.  Every
+# thread row must last >= 0.2 s (the bench sizes the sweep by time), so
+# the speedup measures simulation, not thread start-up.  The 4-thread speedup is only
 # asserted on hosts with at least 4 cores; a 1-core CI container cannot
 # physically demonstrate scaling.
 foreach(field lanes lanes_per_block blocks cycles_per_lane host_cores
-              batch64_lane_cycles_per_sec oracle_checksum speedup_4_vs_1
+              batch64_lane_cycles_per_sec oracle_cycles_per_lane
+              oracle_checksum oracle_farm_checksums speedup_4_vs_1
               speedup_vs_batch64 speedup_vs_batch64_sweeps)
   string(JSON v ERROR_VARIABLE jerr GET "${content}" farm ${field})
   if(jerr)
@@ -197,6 +202,18 @@ if(NOT nthreads EQUAL 3)
   message(FATAL_ERROR "expected 3 farm thread rows, got ${nthreads}")
 endif()
 string(JSON foracle GET "${content}" farm oracle_checksum)
+string(JSON noracle LENGTH "${content}" farm oracle_farm_checksums)
+if(NOT noracle EQUAL 3)
+  message(FATAL_ERROR "expected 3 oracle farm checksums, got ${noracle}")
+endif()
+foreach(i RANGE 2)
+  string(JSON osum GET "${content}" farm oracle_farm_checksums ${i})
+  if(NOT osum STREQUAL foracle)
+    message(FATAL_ERROR
+            "fixed-size farm checksum ${i} = ${osum} != firing oracle ${foracle}")
+  endif()
+endforeach()
+string(JSON frow0 GET "${content}" farm threads 0 checksum)
 set(want_threads "1;2;4")
 math(EXPR tlast "${nthreads} - 1")
 foreach(i RANGE ${tlast})
@@ -215,9 +232,9 @@ foreach(i RANGE ${tlast})
             "farm row ${i} lasted ${tsec} s (< 0.2 s): too short to time")
   endif()
   string(JSON tsum GET "${content}" farm threads ${i} checksum)
-  if(NOT tsum EQUAL ${foracle})
+  if(NOT tsum STREQUAL frow0)
     message(FATAL_ERROR
-            "farm checksum at ${tthreads} thread(s) = ${tsum} != scalar oracle ${foracle}")
+            "farm checksum at ${tthreads} thread(s) = ${tsum} != ${frow0} at 1 thread")
   endif()
 endforeach()
 string(JSON nsweeps LENGTH "${content}" farm speedup_vs_batch64_sweeps)

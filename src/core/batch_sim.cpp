@@ -204,34 +204,16 @@ void BatchSimulation::injectFault(size_t lane, const FaultSpec& fault) {
     throw std::invalid_argument("fault targets a net outside this design");
   }
   faults_.emplace_back(static_cast<uint32_t>(lane), fault);
-  planUntil_ = 0;
+  faultWindow_.markStale();
 }
 
 void BatchSimulation::buildFaultPlan() {
   faultPlan_.resize(g_.denseCount);  // assign() clears the old plan too
   faultPlan_.any = false;
-  planFrom_ = cycle_;
-  planUntil_ = ~uint64_t{0};
+  faultWindow_.open(cycle_);
   for (const auto& [lane, f] : faults_) {
-    // The next cycle at which this fault switches on or off.
-    if (cycle_ < f.fromCycle) {
-      planUntil_ = std::min(planUntil_, f.fromCycle);
-    } else if (cycle_ <= f.toCycle && f.toCycle != ~uint64_t{0}) {
-      planUntil_ = std::min(planUntil_, f.toCycle + 1);
-    }
-    if (!f.activeAt(cycle_)) continue;
-    uint64_t bit = uint64_t{1} << lane;
-    switch (faultModeOf(f.kind)) {
-      case FaultMode::Force0: faultPlan_.force0[f.denseNet] |= bit; break;
-      case FaultMode::Force1: faultPlan_.force1[f.denseNet] |= bit; break;
-      case FaultMode::ForceUndef:
-        faultPlan_.forceUndef[f.denseNet] |= bit;
-        break;
-      case FaultMode::Flip: faultPlan_.flip[f.denseNet] |= bit; break;
-      case FaultMode::Contend: faultPlan_.contend[f.denseNet] |= bit; break;
-      case FaultMode::None: continue;
-    }
-    faultPlan_.any = true;
+    if (!faultWindow_.activeAt(f)) continue;
+    faultPlan_.add(f.denseNet, faultModeOf(f.kind), uint64_t{1} << lane);
   }
 }
 
@@ -257,10 +239,15 @@ uint64_t BatchSimulation::divergedLanes() const {
   return diff & laneMask_ & ~uint64_t{1};
 }
 
+uint64_t BatchSimulation::designHash() const {
+  if (!designHash_) designHash_ = designContentHash(*g_.design);
+  return *designHash_;
+}
+
 SimSnapshot BatchSimulation::saveSnapshot(size_t lane) const {
   checkLane(lane);
   SimSnapshot s;
-  s.designHash = designContentHash(*g_.design);
+  s.designHash = designHash();
   s.cycle = cycle_;
   s.rngState = rngStates_[lane];
   s.regValues = saveRegisters(lane);
@@ -284,8 +271,7 @@ SimSnapshot BatchSimulation::saveSnapshot(size_t lane) const {
 
 void BatchSimulation::restoreSnapshot(size_t lane, const SimSnapshot& snap) {
   checkLane(lane);
-  if (snap.designHash != 0 &&
-      snap.designHash != designContentHash(*g_.design)) {
+  if (snap.designHash != 0 && snap.designHash != designHash()) {
     throw std::invalid_argument(
         "snapshot was taken on a different design (content hash mismatch)");
   }
@@ -335,10 +321,10 @@ void BatchSimulation::runCycle(bool latch) {
   BatchSeeds seeds;
   seeds.inputValues = &inputValues_;
   seeds.regValues = &regValues_;
-  seeds.rngStates = &rngStates_;
+  seeds.rngStates = rngStates_.data();
   seeds.laneMask = laneMask_;
   if (!faults_.empty()) {
-    if (cycle_ < planFrom_ || cycle_ >= planUntil_) buildFaultPlan();
+    if (!faultWindow_.covers(cycle_)) buildFaultPlan();
     if (faultPlan_.any) seeds.faults = &faultPlan_;
   }
   eval_.evaluate(seeds, result_);

@@ -83,7 +83,10 @@ class BatchSimulation {
   /// runFaultCampaign().  Faults persist across reset(); clearFaults()
   /// removes them.
   void injectFault(size_t lane, const FaultSpec& fault);
-  void clearFaults() { faults_.clear(); }
+  void clearFaults() {
+    faults_.clear();
+    faultWindow_.markStale();
+  }
 
   // -- divergence probes (vs the golden lane 0) --
   /// Lanes (excluding lane 0) whose raw planes differ from lane 0 on this
@@ -172,6 +175,9 @@ class BatchSimulation {
   void runCycle(bool latch);
   void seedDefaults();
   void buildFaultPlan();
+  /// designContentHash of the design, hashed on the first snapshot save
+  /// or restore and kept: a batch hashes once, not once per lane.
+  [[nodiscard]] uint64_t designHash() const;
 
   const SimGraph& g_;
   size_t lanes_;
@@ -186,13 +192,10 @@ class BatchSimulation {
   std::vector<SimError> errors_;
   bool evaluated_ = false;
   std::vector<std::pair<uint32_t, FaultSpec>> faults_;  ///< (lane, fault)
-  /// Overlay of faults_ for cycles [planFrom_, planUntil_): no fault's
-  /// activeAt changes value inside that range, so runCycle rebuilds it
-  /// only when the cycle leaves it.  injectFault marks it stale with
-  /// planUntil_ = 0.
+  /// Overlay of faults_ for the cycles of faultWindow_.
   BatchFaultPlan faultPlan_;
-  uint64_t planFrom_ = 0;
-  uint64_t planUntil_ = 0;
+  FaultWindow faultWindow_;
+  mutable std::optional<uint64_t> designHash_;  ///< see designHash()
 };
 
 }  // namespace zeus

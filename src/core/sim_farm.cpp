@@ -58,10 +58,6 @@ void validateOptions(const FarmOptions& opts) {
   if (opts.lanes == 0) {
     throw std::invalid_argument("farm needs at least one lane");
   }
-  if (opts.lanesPerBlock == 0 ||
-      opts.lanesPerBlock > BatchSimulation::kMaxLanes) {
-    throw std::invalid_argument("farm lanes-per-block must be 1..64");
-  }
   if (opts.threads == 0) {
     throw std::invalid_argument("farm needs at least one thread");
   }
@@ -96,13 +92,19 @@ FarmReport runFarm(const SimGraph& graph, const FarmOptions& opts,
   ZEUS_TRACE_SPAN("farm-run", "sim");
   validateOptions(opts);
   const size_t lanes = opts.lanes;
-  const size_t perBlock = opts.lanesPerBlock;
+  constexpr size_t perBlock = BatchSimulation::kMaxLanes;
   const size_t blocks = (lanes + perBlock - 1) / perBlock;
 
-  uint64_t startCycle = 0;
+  const uint64_t startCycle = resume ? resume->cycle : 0;
+  const bool checkpointing = opts.checkpointAtCycle > startCycle &&
+                             opts.checkpointAtCycle <= opts.cycles &&
+                             opts.onCheckpoint;
+  // Hashed only when a farm snapshot is read or written.
+  const uint64_t designHash =
+      resume || checkpointing ? designContentHash(*graph.design) : 0;
   EvalStats baseStats;
   if (resume) {
-    if (resume->designHash != designContentHash(*graph.design)) {
+    if (resume->designHash != designHash) {
       throw std::invalid_argument(
           "farm snapshot was taken on a different design");
     }
@@ -119,15 +121,11 @@ FarmReport runFarm(const SimGraph& graph, const FarmOptions& opts,
     if (resume->lanes.size() != lanes || resume->checksums.size() != lanes) {
       throw std::invalid_argument("farm snapshot lane state is incomplete");
     }
-    startCycle = resume->cycle;
     baseStats = resume->stats;
   }
 
   const std::vector<Observable> outputs = observableOutputs(graph);
   const std::vector<PortHandle> inputs = stimulusInputs(graph);
-  const bool checkpointing = opts.checkpointAtCycle > startCycle &&
-                             opts.checkpointAtCycle <= opts.cycles &&
-                             opts.onCheckpoint;
 
   FarmReport report;
   report.cycles = opts.cycles;
@@ -276,7 +274,7 @@ FarmReport runFarm(const SimGraph& graph, const FarmOptions& opts,
 
   if (checkpointing) {
     FarmSnapshot snap;
-    snap.designHash = designContentHash(*graph.design);
+    snap.designHash = designHash;
     snap.cycle = opts.checkpointAtCycle;
     snap.seed = opts.seed;
     snap.totalLanes = static_cast<uint32_t>(lanes);
@@ -309,7 +307,7 @@ FarmReport runFarmScalarOracle(const SimGraph& graph,
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<Logic> bits;
   for (size_t lane = 0; lane < lanes; ++lane) {
-    Simulation sim(graph, EvaluatorKind::Levelized);
+    Simulation sim(graph, EvaluatorKind::Firing);
     sim.setRandomSeed(farmLaneRngSeed(opts.seed, lane));
     uint64_t& h = report.checksums[lane];
     for (uint64_t c = 0; c < opts.cycles; ++c) {

@@ -1,16 +1,16 @@
 // Multi-core simulation farm: N worker threads × 64-lane batch blocks.
 //
 // One compiled design, thousands of concurrent stimulus lanes.  The lane
-// space [0, lanes) is cut into blocks of at most 64 lanes; each block is
-// an independent BatchSimulation claimed from a shared queue by a pool of
-// worker threads.  Everything a lane computes — its §8 RANDOM stream, its
-// pseudo-random input stimulus, its output checksum — is a pure function
-// of (root seed, global lane index[, cycle]) derived with the same
-// splitmix64 used by runFaultCampaign, and never of the thread count or
-// the block partition.  Consequences:
+// space [0, lanes) is cut into blocks of 64 lanes (the last one may be
+// partial); each block is an independent BatchSimulation claimed from a
+// shared queue by a pool of worker threads.  Everything a lane computes
+// — its §8 RANDOM stream, its pseudo-random input stimulus, its output
+// checksum — is a pure function of (root seed, global lane index[,
+// cycle]) derived with the same splitmix64 used by runFaultCampaign, and
+// never of the thread count or the block partition.  Consequences:
 //
 //   * determinism: the farm produces bit-identical results at 1, 2 or N
-//     threads, and lane L matches a scalar Simulation given lane L's
+//     threads, and lane L matches a firing-rule Simulation given lane L's
 //     derived seed and stimulus (runFarmScalarOracle is that oracle);
 //   * canonical merge: per-block SimErrors are re-tagged with global lane
 //     indices and merged in (cycle, lane, net) order, so errors() reads
@@ -20,9 +20,9 @@
 //     the history that produced cycles [0, c).
 //
 // Counters stay engine-invariant: each block's EvalStats equal a scalar
-// levelized run of the same cycle count (the PR 4 guarantee), so the
-// merged farm totals equal blocks × scalar — invariant in the thread
-// count, which the differential tests assert.
+// levelized run of the same cycle count, so the merged farm totals equal
+// blocks × scalar — invariant in the thread count, which the
+// differential tests assert.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +49,6 @@ namespace zeus {
 struct FarmOptions {
   size_t threads = 1;  ///< worker threads (clamped to [1, blocks])
   size_t lanes = BatchSimulation::kMaxLanes;  ///< total lanes, all blocks
-  size_t lanesPerBlock = BatchSimulation::kMaxLanes;  ///< 1..64
   uint64_t cycles = 0;
   uint64_t seed = 0xC0FFEEull;  ///< root of every derived stream
   /// Capture a FarmSnapshot when every lane has evaluated exactly this
@@ -88,10 +87,11 @@ struct FarmReport {
 FarmReport runFarm(const SimGraph& graph, const FarmOptions& opts,
                    const FarmSnapshot* resume = nullptr);
 
-/// The differential oracle: the same logical run, one scalar levelized
-/// Simulation per lane.  checksums / rngStates / errors compare directly
-/// with runFarm; stats are the sum over lane sims (lanes × scalar run),
-/// not the farm's blocks × scalar.
+/// The differential oracle: the same logical run, one scalar Simulation
+/// per lane on the firing evaluator (the §8 oracle, which shares no code
+/// with the farm's levelized kernel).  checksums / rngStates / errors
+/// compare directly with runFarm; stats are the firing evaluator's, summed
+/// over the lane sims.
 FarmReport runFarmScalarOracle(const SimGraph& graph,
                                const FarmOptions& opts);
 

@@ -22,6 +22,7 @@
 // (docs/fault-injection.md).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -108,6 +109,52 @@ struct BatchFaultPlan {
   void clearNet(uint32_t dn) {
     force0[dn] = force1[dn] = forceUndef[dn] = flip[dn] = contend[dn] = 0;
   }
+  /// Adds `mode` on net `dn` for the lanes in `lanes`.
+  void add(uint32_t dn, FaultMode mode, uint64_t lanes) {
+    switch (mode) {
+      case FaultMode::None: return;
+      case FaultMode::Force0: force0[dn] |= lanes; break;
+      case FaultMode::Force1: force1[dn] |= lanes; break;
+      case FaultMode::ForceUndef: forceUndef[dn] |= lanes; break;
+      case FaultMode::Flip: flip[dn] |= lanes; break;
+      case FaultMode::Contend: contend[dn] |= lanes; break;
+    }
+    any = true;
+  }
+};
+
+/// The cycles over which a fault overlay stays valid: Simulation and
+/// BatchSimulation build their plan at one cycle and keep it until some
+/// fault switches on or off, so a run with faults injected pays the
+/// O(nets) rebuild only when a fault window opens or closes.
+/// injectFault and clearFaults mark the window stale.
+class FaultWindow {
+ public:
+  /// True while a plan built at an earlier cycle still holds at `cycle`.
+  [[nodiscard]] bool covers(uint64_t cycle) const {
+    return cycle >= from_ && cycle < until_;
+  }
+  void markStale() { until_ = 0; }
+  /// Starts the window of a plan built at `cycle`.  Every injected fault
+  /// must then pass through activeAt(), active or not.
+  void open(uint64_t cycle) {
+    from_ = cycle;
+    until_ = ~uint64_t{0};
+  }
+  /// Whether `f` is active at the window's first cycle.  Ends the window
+  /// where `f` next switches on or off.
+  bool activeAt(const FaultSpec& f) {
+    if (from_ < f.fromCycle) {
+      until_ = std::min(until_, f.fromCycle);
+    } else if (from_ <= f.toCycle && f.toCycle != ~uint64_t{0}) {
+      until_ = std::min(until_, f.toCycle + 1);
+    }
+    return f.activeAt(from_);
+  }
+
+ private:
+  uint64_t from_ = 0;
+  uint64_t until_ = 0;  ///< 0 = stale
 };
 
 /// Applies one fault mode to a resolved net value (shared by the three

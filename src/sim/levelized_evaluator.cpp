@@ -1,118 +1,11 @@
 #include "src/sim/levelized_evaluator.h"
 
+#include <bit>
+
 #include "src/sim/stimulus.h"
-#include "src/sim/value.h"
 #include "src/support/trace.h"
 
 namespace zeus {
-
-LevelizedEvaluator::LevelizedEvaluator(const SimGraph& graph) : g_(graph) {
-  ZEUS_TRACE_SPAN("levelize", "compile");
-  const Netlist& nl = g_.design->netlist;
-  nodeOut_.assign(nl.nodeCount(), Logic::Undef);
-  nodeStamp_.assign(nl.nodeCount(), 0);
-}
-
-void LevelizedEvaluator::evaluate(const CycleSeeds& seeds, CycleResult& out) {
-  const Netlist& nl = g_.design->netlist;
-  uint64_t rng = seeds.rngState ? seeds.rngState : kDefaultRngSeed;
-  ++epoch_;
-  ++stats_.epochResets;
-
-  // Every schedule step writes its slot exactly once, so nothing is
-  // cleared up front; only the (cheap) collision list resets.
-  if (out.netValues.size() != g_.denseCount) {
-    out.netValues.assign(g_.denseCount, Logic::Undef);
-    out.activeCounts.assign(g_.denseCount, 0);
-  }
-  out.collisions.clear();
-  out.watchdogTripped = false;  // the static schedule cannot wedge
-  const FaultPlan* faults =
-      seeds.faults && seeds.faults->any ? seeds.faults : nullptr;
-
-  for (const SimGraph::Step& op : g_.schedule) {
-    if (!op.isNode) {
-      // Resolve a net from seed + drivers (§8 strength rule).
-      uint32_t i = op.index;
-      ++stats_.netResolutions;
-      if (g_.nets[i].multiDriven) ++stats_.contentionChecks;
-      Resolution r;
-      if (g_.nets[i].isInput && seeds.inputSet && (*seeds.inputSet)[i]) {
-        r.add((*seeds.inputValues)[i]);
-      }
-      for (uint32_t e = g_.driverStart[i]; e < g_.driverStart[i + 1]; ++e) {
-        NodeId d = g_.driverNodes[e];
-        uint32_t ri = g_.regIndexOf[d];
-        r.add(ri != SimGraph::kNotReg ? (*seeds.regValues)[ri]
-                            : (nodeStamp_[d] == epoch_ ? nodeOut_[d]
-                                                       : Logic::Undef));
-      }
-      Logic v = r.value;
-      uint32_t act = static_cast<uint32_t>(r.activeCount);
-      if (faults) {
-        FaultMode m = faults->mode[i];
-        if (m != FaultMode::None) v = applyScalarFault(m, v, act);
-      }
-      out.netValues[i] = v;
-      out.activeCounts[i] = act;
-      if (act > 1) out.collisions.push_back(i);
-      continue;
-    }
-
-    NodeId ni = op.index;
-    const Node& node = nl.node(ni);
-    ++stats_.nodeFirings;
-    Logic v = Logic::Undef;
-    switch (node.op) {
-      case NodeOp::Const:
-        v = node.constVal;
-        break;
-      case NodeOp::Random:
-        v = logicFromBool(xorshift(rng) & 1);
-        break;
-      case NodeOp::Buf:
-        v = out.netValues[g_.denseOf[node.inputs[0]]];
-        if (v == Logic::NoInfl && g_.nets[g_.denseOf[node.output]].isBool)
-          v = Logic::Undef;
-        break;
-      case NodeOp::Not:
-      case NodeOp::And:
-      case NodeOp::Or:
-      case NodeOp::Nand:
-      case NodeOp::Nor:
-      case NodeOp::Xor: {
-        scratch_.clear();
-        for (NetId in : node.inputs)
-          scratch_.push_back(out.netValues[g_.denseOf[in]]);
-        v = evalGate(node.op, scratch_);
-        break;
-      }
-      case NodeOp::Equal: {
-        scratch_.clear();
-        for (NetId in : node.inputs)
-          scratch_.push_back(out.netValues[g_.denseOf[in]]);
-        size_t m = scratch_.size() / 2;
-        v = evalEqual(std::span<const Logic>(scratch_.data(), m),
-                      std::span<const Logic>(scratch_.data() + m, m));
-        break;
-      }
-      case NodeOp::Switch:
-        v = evalSwitch(out.netValues[g_.denseOf[node.inputs[0]]],
-                       out.netValues[g_.denseOf[node.inputs[1]]]);
-        break;
-      case NodeOp::Reg:
-        break;  // never scheduled
-    }
-    nodeOut_[ni] = v;
-    nodeStamp_[ni] = epoch_;
-  }
-
-  out.rngState = rng;
-}
-
-// ---------------------------------------------------------------------
-// Batch mode
-// ---------------------------------------------------------------------
 
 namespace {
 
@@ -128,23 +21,31 @@ inline LanePlanes laneGateInput(LanePlanes c) {
 LevelizedBatchEvaluator::LevelizedBatchEvaluator(const SimGraph& graph)
     : g_(graph) {
   ZEUS_TRACE_SPAN("levelize", "compile");
-  const Netlist& nl = g_.design->netlist;
-  nodeOut_.assign(nl.nodeCount(), {});
-  nodeStamp_.assign(nl.nodeCount(), 0);
+  for (const SimGraph::Step& op : g_.schedule) {
+    if (op.isNode) {
+      ++perCycle_.nodeFirings;
+    } else {
+      ++perCycle_.netResolutions;
+      if (g_.nets[op.index].multiDriven) ++perCycle_.contentionChecks;
+    }
+  }
+  perCycle_.epochResets = 1;
+  nodeOut_.assign(g_.design->netlist.nodeCount(), {});
 }
 
 void LevelizedBatchEvaluator::evaluate(const BatchSeeds& seeds,
                                        BatchCycleResult& out) {
   const Netlist& nl = g_.design->netlist;
-  ++epoch_;
-  ++stats_.epochResets;
+  const uint64_t live = seeds.laneMask;
+  stats_ += perCycle_;
   if (seeds.rngStates) {
-    // Seed-0 normalization parity with the scalar evaluators, which
-    // substitute kDefaultRngSeed for a zero rngState.  Without this a
-    // lane whose stream was restored to 0 (xorshift's absorbing state)
-    // would draw all-zero RANDOM bits while its scalar oracle draws the
+    // Seed-0 normalization parity with the firing and naive evaluators,
+    // which substitute kDefaultRngSeed for a zero rngState.  Without this
+    // a lane whose stream was restored to 0 (xorshift's absorbing state)
+    // would draw all-zero RANDOM bits while its firing oracle draws the
     // default sequence.
-    for (uint64_t& s : *seeds.rngStates) {
+    for (uint64_t m = live; m; m &= m - 1) {
+      uint64_t& s = seeds.rngStates[std::countr_zero(m)];
       if (s == 0) s = kDefaultRngSeed;
     }
   }
@@ -154,12 +55,12 @@ void LevelizedBatchEvaluator::evaluate(const BatchSeeds& seeds,
     out.activeMulti.assign(g_.denseCount, 0);
   }
   out.collisions.clear();
+  const BatchFaultPlan* faults =
+      seeds.faults && seeds.faults->any ? seeds.faults : nullptr;
 
   for (const SimGraph::Step& op : g_.schedule) {
     if (!op.isNode) {
       uint32_t i = op.index;
-      ++stats_.netResolutions;
-      if (g_.nets[i].multiDriven) ++stats_.contentionChecks;
       // Per-lane strength resolution: first active contribution wins,
       // two or more active contributions collide to UNDEF.
       LanePlanes res;
@@ -177,13 +78,8 @@ void LevelizedBatchEvaluator::evaluate(const BatchSeeds& seeds,
       for (uint32_t e = g_.driverStart[i]; e < g_.driverStart[i + 1]; ++e) {
         NodeId d = g_.driverNodes[e];
         uint32_t ri = g_.regIndexOf[d];
-        if (ri != SimGraph::kNotReg) {
-          contribute((*seeds.regValues)[ri]);
-        } else {
-          contribute(nodeStamp_[d] == epoch_
-                         ? nodeOut_[d]
-                         : lanesBroadcast(Logic::Undef, ~uint64_t{0}));
-        }
+        contribute(ri != SimGraph::kNotReg ? (*seeds.regValues)[ri]
+                                           : nodeOut_[d]);
       }
       res.p0 |= multi;  // colliding lanes resolve to UNDEF
       res.p1 |= multi;
@@ -192,8 +88,8 @@ void LevelizedBatchEvaluator::evaluate(const BatchSeeds& seeds,
       // inverts only defined lanes; Contend collides to UNDEF.  A real
       // collision on a forced lane keeps its multi bit — the fault
       // overrides the value, not the contention report.
-      if (seeds.faults && seeds.faults->any) {
-        const BatchFaultPlan& fp = *seeds.faults;
+      if (faults) {
+        const BatchFaultPlan& fp = *faults;
         uint64_t f0 = fp.force0[i], f1 = fp.force1[i], fu = fp.forceUndef[i];
         uint64_t ff = fp.flip[i], fc = fp.contend[i];
         if (f0 | f1 | fu | ff | fc) {
@@ -210,13 +106,12 @@ void LevelizedBatchEvaluator::evaluate(const BatchSeeds& seeds,
       out.netValues[i] = res;
       out.activeAny[i] = seen;
       out.activeMulti[i] = multi;
-      if (multi & seeds.laneMask) out.collisions.push_back(i);
+      if (multi & live) out.collisions.push_back(i);
       continue;
     }
 
     NodeId ni = op.index;
     const Node& node = nl.node(ni);
-    ++stats_.nodeFirings;
     LanePlanes v;
     switch (node.op) {
       case NodeOp::Const:
@@ -224,8 +119,9 @@ void LevelizedBatchEvaluator::evaluate(const BatchSeeds& seeds,
         break;
       case NodeOp::Random: {
         uint64_t bits = 0;
-        for (uint32_t l = 0; l < 64; ++l) {
-          bits |= (xorshift((*seeds.rngStates)[l]) & 1) << l;
+        for (uint64_t m = live; m; m &= m - 1) {
+          const int l = std::countr_zero(m);
+          bits |= (xorshift(seeds.rngStates[l]) & 1) << l;
         }
         v = {~bits, bits};
         break;
@@ -306,7 +202,6 @@ void LevelizedBatchEvaluator::evaluate(const BatchSeeds& seeds,
         break;  // never scheduled
     }
     nodeOut_[ni] = v;
-    nodeStamp_[ni] = epoch_;
   }
 }
 

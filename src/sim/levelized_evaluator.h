@@ -2,51 +2,28 @@
 //
 // buildSimGraph levelizes the acyclic semantics graph once into
 // SimGraph::schedule, a flat list of interleaved net-resolution and
-// node-evaluation steps shared by every evaluator over that graph.  A
-// cycle is then one linear walk over dense arrays — no worklist, no
-// per-edge arrival events, no per-cycle std::fill over the whole
-// state: every slot is written before it is read, and the few slots that
-// need staleness protection (node outputs read through driver edges)
-// carry an epoch stamp instead of being re-cleared.  The results are
-// bit-identical to the firing evaluator.
+// node-evaluation steps.  A cycle is then one linear walk over dense
+// arrays — no worklist, no per-edge arrival events, no per-cycle
+// std::fill over the whole state: every step writes its slot before any
+// later step reads it.  The results are bit-identical to the firing
+// evaluator.
 //
-// The same schedule drives a 64-wide batch mode: 64 independent
-// stimulus lanes are packed into two 64-bit planes per net (four-valued
-// logic as 2 bits per lane) and every gate evaluates all lanes with a
-// handful of word-parallel boolean ops.  The §8 at-most-one-driver check
-// is still per lane: contention surfaces as a bitmask of colliding lanes
-// on each multiply-driven net.
+// The walk is word-parallel: up to 64 independent stimulus lanes are
+// packed into two 64-bit planes per net (four-valued logic as 2 bits per
+// lane) and every gate evaluates all lanes with a handful of boolean
+// ops.  It is the only levelized kernel: BatchSimulation runs it on 1..64
+// lanes, and a scalar Simulation with EvaluatorKind::Levelized runs it on
+// lane 0 alone.  The §8 at-most-one-driver check is still per lane:
+// contention surfaces as a bitmask of colliding lanes on each
+// multiply-driven net.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "src/sim/firing_evaluator.h"
 
 namespace zeus {
-
-class LevelizedEvaluator {
- public:
-  explicit LevelizedEvaluator(const SimGraph& graph);
-
-  void evaluate(const CycleSeeds& seeds, CycleResult& out);
-  [[nodiscard]] const EvalStats& stats() const { return stats_; }
-  void resetStats() { stats_ = {}; }
-  /// Restores a previously captured counter state (snapshot resume).
-  void setStats(const EvalStats& s) { stats_ = s; }
-
- private:
-  const SimGraph& g_;
-  EvalStats stats_;
-
-  // Node outputs, epoch-stamped: an entry is valid only when its stamp
-  // matches the current cycle's epoch, so nothing is re-filled per cycle.
-  std::vector<Logic> nodeOut_;
-  std::vector<uint64_t> nodeStamp_;
-  uint64_t epoch_ = 0;
-  std::vector<Logic> scratch_;
-};
 
 // ---------------------------------------------------------------------
 // 64-lane batch mode
@@ -97,10 +74,12 @@ struct BatchSeeds {
   const std::vector<LanePlanes>* inputValues = nullptr;
   /// Per REG node (indexed as in graph.regNodes): stored lane values.
   const std::vector<LanePlanes>* regValues = nullptr;
-  /// Per-lane RANDOM streams, advanced in place (lane L draws the same
-  /// sequence a scalar run seeded with rngStates[L] would).
-  std::array<uint64_t, 64>* rngStates = nullptr;
-  /// Lanes in use; contention is only reported for these.
+  /// Per-lane RANDOM streams, indexed by lane and advanced in place (lane
+  /// L draws the same sequence a scalar run seeded with rngStates[L]
+  /// would).  Only the lanes of laneMask are read or advanced.
+  uint64_t* rngStates = nullptr;
+  /// Lanes in use.  Contention is reported and RANDOM drawn only for
+  /// these; the other lanes' values are unspecified.
   uint64_t laneMask = ~uint64_t{0};
   /// Per-lane fault-injection overlay (src/sim/fault.h); null or !any =
   /// fault-free.  Lane L of each mask mirrors what a scalar run with the
@@ -128,9 +107,12 @@ class LevelizedBatchEvaluator {
  private:
   const SimGraph& g_;
   EvalStats stats_;
+  /// What one cycle adds to stats_: the schedule fires every node and
+  /// resolves every net exactly once, whatever the values.
+  EvalStats perCycle_;
+  /// Node outputs.  Every non-REG driver's step precedes its net's
+  /// resolve step, so each slot is written before it is read.
   std::vector<LanePlanes> nodeOut_;
-  std::vector<uint64_t> nodeStamp_;
-  uint64_t epoch_ = 0;
 };
 
 }  // namespace zeus

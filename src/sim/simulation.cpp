@@ -27,27 +27,20 @@ Simulation::Simulation(const SimGraph& graph, const Options& opts)
       naive_ = std::make_unique<NaiveEvaluator>(g_);
       break;
     case EvaluatorKind::Levelized:
-      levelized_ = std::make_unique<LevelizedEvaluator>(g_);
+      levelized_ = std::make_unique<LevelizedBatchEvaluator>(g_);
       break;
   }
-  inputValues_.assign(g_.denseCount, Logic::Undef);
-  inputSet_.assign(g_.denseCount, 0);
-  regValues_.assign(g_.regNodes.size(), Logic::Undef);
-  // CLK reads as 1 while a cycle is evaluated.
-  uint32_t clk = g_.dense(g_.design->clk);
-  inputValues_[clk] = Logic::One;
-  inputSet_[clk] = 1;
-  setRset(false);
+  reset();
   if (opts_.profileActivity) setActivityProfiling(true);
 }
 
 void Simulation::reset() {
-  std::fill(inputValues_.begin(), inputValues_.end(), Logic::Undef);
-  std::fill(inputSet_.begin(), inputSet_.end(), 0);
-  std::fill(regValues_.begin(), regValues_.end(), Logic::Undef);
-  uint32_t clk = g_.dense(g_.design->clk);
-  inputValues_[clk] = Logic::One;
-  inputSet_[clk] = 1;
+  inputValues_.assign(g_.denseCount, Logic::Undef);
+  inputSet_.assign(g_.denseCount, 0);
+  inputPlanes_.assign(g_.denseCount, {});
+  regValues_.assign(g_.regNodes.size(), lanesBroadcast(Logic::Undef, 1));
+  // CLK reads as 1 while a cycle is evaluated.
+  driveInput(g_.dense(g_.design->clk), Logic::One);
   setRset(false);
   cycle_ = 0;
   // Restore the RANDOM stream too: a reset simulation must replay exactly
@@ -74,7 +67,7 @@ void Simulation::setActivityProfiling(bool on) {
 
 void Simulation::profileCycle() {
   for (size_t i = 0; i < g_.denseCount; ++i) {
-    Logic v = result_.netValues[i];
+    Logic v = laneValue(result_.netValues[i], 0);
     if (v == Logic::Undef) ++undefCycles_[i];
     else if (v == Logic::NoInfl) ++noinflCycles_[i];
     if (prevValid_ && v != prevValues_[i]) ++toggles_[i];
@@ -105,13 +98,16 @@ void Simulation::setInput(PortHandle port, Logic v) {
   setInput(port, std::span<const Logic>(&v, 1));
 }
 
+void Simulation::driveInput(uint32_t dn, Logic v) {
+  inputValues_[dn] = v;
+  inputSet_[dn] = 1;
+  inputPlanes_[dn] = lanesBroadcast(v, 1);
+}
+
 void Simulation::setInput(PortHandle port, std::span<const Logic> bits) {
   g_.checkWidth(port, bits.size());
   const std::vector<uint32_t>& slots = g_.slotsOf(port).dense;
-  for (size_t i = 0; i < bits.size(); ++i) {
-    inputValues_[slots[i]] = bits[i];
-    inputSet_[slots[i]] = 1;
-  }
+  for (size_t i = 0; i < bits.size(); ++i) driveInput(slots[i], bits[i]);
 }
 
 void Simulation::setInputUint(PortHandle port, uint64_t value) {
@@ -119,8 +115,7 @@ void Simulation::setInputUint(PortHandle port, uint64_t value) {
   for (size_t i = 0; i < slots.size(); ++i) {
     // Ports wider than 64 bits get zeros above bit 63 (shifting by >= 64
     // is undefined, not zero).
-    inputValues_[slots[i]] = logicFromBool(i < 64 && ((value >> i) & 1));
-    inputSet_[slots[i]] = 1;
+    driveInput(slots[i], logicFromBool(i < 64 && ((value >> i) & 1)));
   }
 }
 
@@ -128,17 +123,22 @@ void Simulation::clearInput(PortHandle port) {
   for (uint32_t dn : g_.slotsOf(port).dense) {
     inputSet_[dn] = 0;
     inputValues_[dn] = Logic::Undef;
+    inputPlanes_[dn] = {};
   }
 }
 
 void Simulation::setRset(bool active) {
-  uint32_t rset = g_.dense(g_.design->rset);
-  inputValues_[rset] = logicFromBool(active);
-  inputSet_[rset] = 1;
+  driveInput(g_.dense(g_.design->rset), logicFromBool(active));
 }
 
 void Simulation::setRandomSeed(uint64_t seed) {
   rngState_ = seed ? seed : 1;
+}
+
+std::vector<Logic> Simulation::saveRegisters() const {
+  std::vector<Logic> out(regValues_.size());
+  for (size_t k = 0; k < out.size(); ++k) out[k] = laneValue(regValues_[k], 0);
+  return out;
 }
 
 void Simulation::restoreRegisters(const std::vector<Logic>& state) {
@@ -146,7 +146,9 @@ void Simulation::restoreRegisters(const std::vector<Logic>& state) {
     throw std::invalid_argument(
         "register snapshot has wrong size for this design");
   }
-  regValues_ = state;
+  for (size_t k = 0; k < state.size(); ++k) {
+    regValues_[k] = lanesBroadcast(state[k], 1);
+  }
 }
 
 void Simulation::injectFault(const FaultSpec& fault) {
@@ -154,20 +156,24 @@ void Simulation::injectFault(const FaultSpec& fault) {
     throw std::invalid_argument("fault targets a net outside this design");
   }
   faults_.push_back(fault);
+  faultWindow_.markStale();
 }
 
 void Simulation::buildFaultPlan() {
-  if (faultPlan_.mode.size() != g_.denseCount) {
-    faultPlan_.mode.assign(g_.denseCount, FaultMode::None);
-  } else {
-    std::fill(faultPlan_.mode.begin(), faultPlan_.mode.end(),
-              FaultMode::None);
-  }
-  faultPlan_.any = false;
+  faultWindow_.open(cycle_);
+  if (levelized_) laneFaults_.resize(g_.denseCount);
+  else faultPlan_.mode.assign(g_.denseCount, FaultMode::None);
+  laneFaults_.any = faultPlan_.any = false;
   for (const FaultSpec& f : faults_) {
-    if (!f.activeAt(cycle_)) continue;
-    faultPlan_.mode[f.denseNet] = faultModeOf(f.kind);
-    faultPlan_.any = true;
+    if (!faultWindow_.activeAt(f)) continue;
+    // A later fault on the same net replaces an earlier one.
+    if (levelized_) {
+      laneFaults_.clearNet(f.denseNet);
+      laneFaults_.add(f.denseNet, faultModeOf(f.kind), 1);
+    } else {
+      faultPlan_.mode[f.denseNet] = faultModeOf(f.kind);
+      faultPlan_.any = true;
+    }
   }
 }
 
@@ -184,7 +190,7 @@ SimSnapshot Simulation::saveSnapshot() const {
   s.cycle = cycle_;
   s.rngState = rngState_;
   s.stats = stats();
-  s.regValues = regValues_;
+  s.regValues = saveRegisters();
   s.inputValues = inputValues_;
   s.inputSet = inputSet_;
   s.errors = errors_;
@@ -204,9 +210,13 @@ void Simulation::restoreSnapshot(const SimSnapshot& snap) {
     throw std::invalid_argument(
         "snapshot state sizes do not match this design");
   }
-  regValues_ = snap.regValues;
+  restoreRegisters(snap.regValues);
   inputValues_ = snap.inputValues;
   inputSet_.assign(snap.inputSet.begin(), snap.inputSet.end());
+  for (size_t i = 0; i < g_.denseCount; ++i) {
+    inputPlanes_[i] =
+        inputSet_[i] ? lanesBroadcast(inputValues_[i], 1) : LanePlanes{};
+  }
   cycle_ = snap.cycle;
   rngState_ = snap.rngState;
   errors_ = snap.errors;
@@ -217,21 +227,45 @@ void Simulation::restoreSnapshot(const SimSnapshot& snap) {
   prevValid_ = false;
 }
 
-void Simulation::runCycle(bool latch) {
+void Simulation::evaluateScalar() {
+  scalarRegs_.resize(regValues_.size());
+  for (size_t k = 0; k < regValues_.size(); ++k) {
+    scalarRegs_[k] = laneValue(regValues_[k], 0);
+  }
   CycleSeeds seeds;
   seeds.inputValues = &inputValues_;
   seeds.inputSet = &inputSet_;
-  seeds.regValues = &regValues_;
+  seeds.regValues = &scalarRegs_;
   seeds.rngState = rngState_;
   seeds.eventBudget = opts_.maxEventsPerCycle;
-  if (!faults_.empty()) {
-    buildFaultPlan();
-    if (faultPlan_.any) seeds.faults = &faultPlan_;
+  if (!faults_.empty() && faultPlan_.any) seeds.faults = &faultPlan_;
+  if (firing_) firing_->evaluate(seeds, scalar_);
+  else naive_->evaluate(seeds, scalar_);
+  rngState_ = scalar_.rngState;
+  watchdogTripped_ = scalar_.watchdogTripped;
+
+  result_.netValues.resize(g_.denseCount);
+  result_.activeAny.resize(g_.denseCount);
+  for (size_t i = 0; i < g_.denseCount; ++i) {
+    result_.netValues[i] = lanesBroadcast(scalar_.netValues[i], 1);
+    result_.activeAny[i] = scalar_.activeCounts[i] > 0;
   }
-  if (firing_) firing_->evaluate(seeds, result_);
-  else if (naive_) naive_->evaluate(seeds, result_);
-  else levelized_->evaluate(seeds, result_);
-  rngState_ = result_.rngState;
+  result_.collisions = scalar_.collisions;
+}
+
+void Simulation::runCycle(bool latch) {
+  if (!faults_.empty() && !faultWindow_.covers(cycle_)) buildFaultPlan();
+  if (levelized_) {
+    BatchSeeds seeds;
+    seeds.inputValues = &inputPlanes_;
+    seeds.regValues = &regValues_;
+    seeds.rngStates = &rngState_;
+    seeds.laneMask = 1;
+    if (!faults_.empty() && laneFaults_.any) seeds.faults = &laneFaults_;
+    levelized_->evaluate(seeds, result_);
+  } else {
+    evaluateScalar();
+  }
   evaluated_ = true;
 
   for (uint32_t dn : result_.collisions) {
@@ -240,7 +274,7 @@ void Simulation::runCycle(bool latch) {
          g_.design->netlist.net(g_.rootOf[dn]).name,
          "more than one (0,1,UNDEF)-assignment active in one cycle"});
   }
-  if (result_.watchdogTripped) {
+  if (watchdogTripped_) {
     errors_.push_back(
         {cycle_, Diag::SimWatchdog, "",
          "cycle evaluation aborted by the firing watchdog (event budget "
@@ -254,18 +288,20 @@ void Simulation::runCycle(bool latch) {
   // A tripped watchdog declares this cycle's net values unreliable: do
   // not latch them into registers, and do not count the cycle — nor
   // profile it (its values would poison the toggle/dwell statistics).
-  if (result_.watchdogTripped) return;
+  if (watchdogTripped_) return;
   if (!latch) return;
   if (profiling_) profileCycle();
   // Two-phase latch: every register reads its input's resolved value from
   // this cycle; "if in is not changed during a clock cycle, it keeps its
-  // value" (§5.1) — no active assignment means keep.
+  // value" (§5.1) — no active assignment means keep.  An active net is
+  // never NOINFL.
   for (size_t k = 0; k < g_.regNodes.size(); ++k) {
     const uint32_t in = g_.regInput[k];
-    if (result_.activeCounts[in] > 0) {
-      Logic v = result_.netValues[in];
-      regValues_[k] = v == Logic::NoInfl ? Logic::Undef : v;
-    }
+    const uint64_t act = result_.activeAny[in] & 1;
+    const LanePlanes& v = result_.netValues[in];
+    LanePlanes& r = regValues_[k];
+    r.p0 = (v.p0 & act) | (r.p0 & ~act);
+    r.p1 = (v.p1 & act) | (r.p1 & ~act);
   }
   ++cycle_;
   if (opts_.usage) opts_.usage->simCycles = cycle_;
@@ -294,7 +330,7 @@ void Simulation::step(uint64_t n) {
     runCycle(/*latch=*/true);
     // A tripped watchdog means further cycles would spin on the same
     // wedged evaluation — stop the run rather than flood errors().
-    if (result_.watchdogTripped) return;
+    if (watchdogTripped_) return;
   }
 }
 
@@ -306,7 +342,7 @@ Logic Simulation::netValue(NetId net) const {
   // A class the optimizer dropped has no per-cycle state: it is neither
   // driven nor read, so it reads NOINFL like any other undriven net.
   if (dn == SimGraph::kNoDense) return Logic::NoInfl;
-  return result_.netValues[dn];
+  return laneValue(result_.netValues[dn], 0);
 }
 
 Logic Simulation::netValueByName(const std::string& name) const {
@@ -333,7 +369,7 @@ std::optional<uint64_t> Simulation::outputUint(
 
 Logic Simulation::observe(const SimGraph::PortSlots& ps, size_t i) const {
   if (!evaluated_) return Logic::Undef;
-  Logic v = result_.netValues[ps.dense[i]];
+  Logic v = laneValue(result_.netValues[ps.dense[i]], 0);
   // Observation of a boolean port converts NOINFL to UNDEF (§4.1).
   if (v == Logic::NoInfl && ((ps.boolMask[i / 64] >> (i % 64)) & 1))
     v = Logic::Undef;

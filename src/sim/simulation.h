@@ -1,10 +1,10 @@
 // Cycle-accurate simulation of an elaborated Zeus design (§5, §8).
 //
 // Time proceeds in discrete clock cycles.  Each step() evaluates every
-// signal once (firing rules or the naive baseline), records runtime errors
-// (multiple active drivers on one signal — the "burning transistors"
-// check), then latches every REG: a register keeps its value when its
-// input was not changed during the cycle.
+// signal once (firing rules, the naive baseline or the levelized kernel),
+// records runtime errors (multiple active drivers on one signal — the
+// "burning transistors" check), then latches every REG: a register keeps
+// its value when its input was not changed during the cycle.
 #pragma once
 
 #include <cstdint>
@@ -25,11 +25,12 @@
 
 namespace zeus {
 
-/// Firing: event-driven §8 firing rules (short-circuit, one pass).
+/// Firing: event-driven §8 firing rules (short-circuit, one pass); the
+/// oracle every other engine is checked against.
 /// Naive: sweep-to-fixpoint baseline (ablation partner).
-/// Levelized: statically scheduled linear walk (fastest interpreter; also
-/// the engine under the 64-lane BatchSimulation facade in
-/// src/core/batch_sim.h).
+/// Levelized: statically scheduled linear walk, the fastest interpreter.
+/// It is the word-parallel kernel under the 64-lane BatchSimulation
+/// facade (src/core/batch_sim.h), run on lane 0 alone.
 enum class EvaluatorKind { Firing, Naive, Levelized };
 
 /// A runtime fault recorded during simulation.  Faults never abort the
@@ -128,7 +129,10 @@ class Simulation {
   /// SimContention errors like real collisions.  Injected faults persist
   /// across reset() — clearFaults() removes them.
   void injectFault(const FaultSpec& fault);
-  void clearFaults() { faults_.clear(); }
+  void clearFaults() {
+    faults_.clear();
+    faultWindow_.markStale();
+  }
   [[nodiscard]] const std::vector<FaultSpec>& faults() const {
     return faults_;
   }
@@ -141,9 +145,7 @@ class Simulation {
   /// run bit-identically only for designs without RANDOM components and
   /// stimulus that does not depend on the cycle number.  For exact resume
   /// semantics use saveSnapshot()/restoreSnapshot().
-  [[nodiscard]] std::vector<Logic> saveRegisters() const {
-    return regValues_;
-  }
+  [[nodiscard]] std::vector<Logic> saveRegisters() const;
   /// Restores a previously saved register state (see the saveRegisters
   /// contract: rngState_, cycle count, pending inputs and errors keep
   /// their current values and go stale relative to the saved run).
@@ -206,7 +208,11 @@ class Simulation {
   /// A port bit's observed value: NOINFL reads UNDEF on a boolean port
   /// (§4.1), and every bit reads UNDEF before the first evaluation.
   [[nodiscard]] Logic observe(const SimGraph::PortSlots& ps, size_t i) const;
+  void driveInput(uint32_t dn, Logic v);
   void runCycle(bool latch);
+  /// Runs the firing or naive evaluator and packs its result into lane 0
+  /// of result_.
+  void evaluateScalar();
   void profileCycle();
   void buildFaultPlan();
   void setStatsInternal(const EvalStats& s);
@@ -216,18 +222,32 @@ class Simulation {
   EvaluatorKind kind_;
   std::unique_ptr<FiringEvaluator> firing_;
   std::unique_ptr<NaiveEvaluator> naive_;
-  std::unique_ptr<LevelizedEvaluator> levelized_;
+  std::unique_ptr<LevelizedBatchEvaluator> levelized_;
 
   std::vector<Logic> inputValues_;  ///< per dense net
   std::vector<char> inputSet_;
-  std::vector<Logic> regValues_;  ///< per graph.regNodes index
-  CycleResult result_;
+  /// The same inputs as lane 0 of the levelized kernel's planes (unset
+  /// reads NOINFL), written alongside inputValues_.
+  std::vector<LanePlanes> inputPlanes_;
+  std::vector<LanePlanes> regValues_;  ///< per graph.regNodes index, lane 0
+  /// The last evaluated cycle in lane 0, whatever the engine: the
+  /// levelized kernel writes it; the firing and naive results are packed
+  /// in (values, activity and the collision list, which is all the
+  /// facade reads).
+  BatchCycleResult result_;
+  CycleResult scalar_;             ///< firing / naive result
+  std::vector<Logic> scalarRegs_;  ///< regValues_ unpacked for them
+  bool watchdogTripped_ = false;
   uint64_t cycle_ = 0;
   uint64_t rngState_ = kDefaultRngSeed;
   std::vector<SimError> errors_;
   bool evaluated_ = false;
   std::vector<FaultSpec> faults_;
-  FaultPlan faultPlan_;  ///< rebuilt per cycle while faults_ is non-empty
+  /// The overlay of faults_ for the cycles of faultWindow_: per-net modes
+  /// for firing and naive, lane-0 masks for the levelized kernel.
+  FaultPlan faultPlan_;
+  BatchFaultPlan laneFaults_;
+  FaultWindow faultWindow_;
 
   // Activity profiler (allocated lazily when profiling turns on).
   bool profiling_ = false;

@@ -181,9 +181,10 @@ TEST(Differential, BlackjackFsmAllEvaluatorsAllLanes) {
 
 // The batch engine fires every node and resolves every net once per
 // evaluated cycle with one word-parallel operation covering all lanes, so
-// its counter totals must equal a scalar levelized run of the same cycle
-// count — and contention checks count the static multi-driven property,
-// not per-lane value accidents, so they cannot drift between engines.
+// its counter totals must equal a scalar firing-rule run (the §8 oracle,
+// which counts as it fires) of the same cycle count — and contention
+// checks count the static multi-driven property, not per-lane value
+// accidents, so they cannot drift between engines.
 void checkCounterTotals(const std::string& src, const std::string& top,
                         uint64_t cycles, bool pulseRset,
                         bool optimize = false) {
@@ -199,7 +200,7 @@ void checkCounterTotals(const std::string& src, const std::string& top,
   }
   SimGraph graph = buildSimGraph(*b.design, b.comp->diags());
   ASSERT_FALSE(graph.hasCycle);
-  Simulation scalar(graph, EvaluatorKind::Levelized);
+  Simulation scalar(graph, EvaluatorKind::Firing);
   BatchSimulation batch(graph, BatchSimulation::kMaxLanes);
 
   std::mt19937_64 rng(23);
@@ -230,13 +231,13 @@ void checkCounterTotals(const std::string& src, const std::string& top,
 
   metrics::SimCounters sc = scalar.metricsCounters();
   metrics::SimCounters bc = batch.metricsCounters();
-  EXPECT_EQ(sc.evaluator, "levelized");
+  EXPECT_EQ(sc.evaluator, "firing");
   EXPECT_EQ(bc.evaluator, "batch");
   EXPECT_EQ(sc.cycles, bc.cycles);
   EXPECT_EQ(bc.lanes, BatchSimulation::kMaxLanes);
   EXPECT_EQ(bc.laneCycles, bc.cycles * bc.lanes);
-  // The per-lane totals: firing, resolution, contention-check and
-  // epoch-reset counts must be identical across the two engines.
+  // The per-lane totals the two engines share: firing, resolution,
+  // contention-check and epoch-reset counts must be identical.
   EXPECT_EQ(sc.nodeFirings, bc.nodeFirings);
   EXPECT_EQ(sc.netResolutions, bc.netResolutions);
   EXPECT_EQ(sc.contentionChecks, bc.contentionChecks);
@@ -264,6 +265,53 @@ TEST(Differential, AdderCounterTotalsAgreeAtO1) {
 TEST(Differential, BlackjackCounterTotalsAgreeAtO1) {
   checkCounterTotals(kBlackjack, "bj", /*cycles=*/32, /*pulseRset=*/true,
                      /*optimize=*/true);
+}
+
+// The levelized kernel adds its counters once per cycle, as constants
+// counted from the schedule; the firing evaluator counts every firing and
+// every resolution as it happens.  On every corpus program at -O0 and -O1
+// the kernel's totals must equal the firing totals, both on lane 0 of a
+// scalar levelized run and on a one-lane batch.
+TEST(Differential, LevelizedCountersEqualFiringOnTheCorpus) {
+  for (const corpus::CorpusEntry& e : corpus::all()) {
+    for (int level : {0, 1}) {
+      SCOPED_TRACE(std::string(e.name) + " -O" + std::to_string(level));
+      std::string top;
+      Built b = buildOk(corpusSource(e, &top), top);
+      OptOptions opts;
+      opts.level = level;
+      OptReport rep = b.comp->optimize(*b.design, opts);
+      if (!rep.graph) continue;  // cyclic: not simulated
+      const SimGraph& g = *rep.graph;
+      Simulation firing(g, EvaluatorKind::Firing);
+      Simulation levelized(g, EvaluatorKind::Levelized);
+      BatchSimulation batch(g, 1);
+      std::mt19937_64 rng(7);
+      for (int c = 0; c < 8; ++c) {
+        for (const Port& p : b.design->ports) {
+          if (p.mode != ast::ParamMode::In) continue;
+          const uint64_t v = rng();
+          firing.setInputUint(p.name, v);
+          levelized.setInputUint(p.name, v);
+          batch.setInputUint(0, p.name, v);
+        }
+        firing.setRset(c == 0);
+        levelized.setRset(c == 0);
+        batch.setRset(c == 0);
+        firing.step();
+        levelized.step();
+        batch.step();
+      }
+      const EvalStats& want = firing.stats();
+      ASSERT_GT(want.nodeFirings, 0u);
+      for (const EvalStats* got : {&levelized.stats(), &batch.stats()}) {
+        EXPECT_EQ(got->nodeFirings, want.nodeFirings);
+        EXPECT_EQ(got->netResolutions, want.netResolutions);
+        EXPECT_EQ(got->contentionChecks, want.contentionChecks);
+        EXPECT_EQ(got->epochResets, want.epochResets);
+      }
+    }
+  }
 }
 
 // A design exercising everything a checkpoint must capture: RANDOM draws,
@@ -351,7 +399,9 @@ TEST(Differential, SnapshotResumeIsBitIdenticalOnEveryEvaluator) {
 }
 
 /// Scalar snapshots restore into batch lanes and vice versa: the same
-/// interrupted run continues bit-identically in the other engine.
+/// interrupted run continues bit-identically in the other engine.  The
+/// scalar side runs the firing evaluator, which shares no code with the
+/// batch kernel.
 TEST(Differential, SnapshotsInterchangeBetweenScalarAndBatchLanes) {
   constexpr int kCycles = 20;
   constexpr int kStopAt = 8;
@@ -360,11 +410,11 @@ TEST(Differential, SnapshotsInterchangeBetweenScalarAndBatchLanes) {
   SimGraph g = buildSimGraph(*b.design, b.comp->diags());
   ASSERT_FALSE(g.hasCycle);
 
-  Simulation straight(g, EvaluatorKind::Levelized);
+  Simulation straight(g, EvaluatorKind::Firing);
   for (int c = 0; c < kCycles; ++c) drive(straight, stim[c]);
 
   // Scalar -> batch lane 2.
-  Simulation first(g, EvaluatorKind::Levelized);
+  Simulation first(g, EvaluatorKind::Firing);
   for (int c = 0; c < kStopAt; ++c) drive(first, stim[c]);
   BatchSimulation batch(g, 4);
   batch.restoreSnapshot(2, first.saveSnapshot());
@@ -401,7 +451,7 @@ TEST(Differential, SnapshotsInterchangeBetweenScalarAndBatchLanes) {
     }
     bfirst.step();
   }
-  Simulation cont(g, EvaluatorKind::Levelized);
+  Simulation cont(g, EvaluatorKind::Firing);
   cont.restoreSnapshot(bfirst.saveSnapshot(1));
   for (int c = kStopAt; c < kCycles; ++c) drive(cont, stim[c]);
   for (NetId n = 0; n < nl.netCount(); ++n) {

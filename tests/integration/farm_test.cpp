@@ -141,9 +141,6 @@ TEST(Farm, RejectsBadOptions) {
   opts.lanes = 64;
   opts.threads = 0;
   EXPECT_THROW(runFarm(f.graph, opts), std::invalid_argument);
-  opts.threads = 1;
-  opts.lanesPerBlock = 65;
-  EXPECT_THROW(runFarm(f.graph, opts), std::invalid_argument);
 }
 
 TEST(Farm, SnapshotBinaryRoundTrip) {
@@ -250,14 +247,14 @@ TEST(Farm, ResumeRejectsMismatchedSnapshots) {
 }
 
 // A restored rngState of 0 must not absorb (xorshift(0) == 0 forever):
-// the scalar evaluators substitute kDefaultRngSeed at evaluate time, and
+// the firing evaluator substitutes kDefaultRngSeed at evaluate time, and
 // the batch evaluator normalizes restored lane states the same way, so a
-// scalar and a batch lane resumed from the same zero-state snapshot stay
-// bit-identical.
+// firing-rule run and a batch lane resumed from the same zero-state
+// snapshot stay bit-identical.
 TEST(Farm, ZeroRngStateRestoresIdenticallyScalarAndBatch) {
   FarmFixture f(kRandomized, "top");
 
-  Simulation scalar(f.graph, EvaluatorKind::Levelized);
+  Simulation scalar(f.graph, EvaluatorKind::Firing);
   SimSnapshot snap = scalar.saveSnapshot();
   snap.rngState = 0;  // hand-built snapshot in the absorbing state
 

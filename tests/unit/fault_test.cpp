@@ -152,7 +152,7 @@ TEST(Fault, FaultyRegisterStateLatches) {
 
 TEST(Fault, BatchLaneMatchesScalarFaultySimulation) {
   // Lane 1 carries the fault; lane 0 stays golden.  Both must equal the
-  // corresponding scalar runs net-for-net on every cycle.
+  // corresponding firing-rule runs net-for-net on every cycle.
   Built b = buildOk(kNotChain, "top");
   SimGraph g = buildSimGraph(*b.design, b.comp->diags());
   for (FaultKind fk :
@@ -161,8 +161,8 @@ TEST(Fault, BatchLaneMatchesScalarFaultySimulation) {
     FaultSpec spec = *makeFault(g, fk, "top.m", 1, 2);
     BatchSimulation batch(g, 4);
     batch.injectFault(1, spec);
-    Simulation golden(g, EvaluatorKind::Levelized);
-    Simulation faulty(g, EvaluatorKind::Levelized);
+    Simulation golden(g, EvaluatorKind::Firing);
+    Simulation faulty(g, EvaluatorKind::Firing);
     faulty.injectFault(spec);
     const Netlist& nl = b.design->netlist;
     for (int cyc = 0; cyc < 4; ++cyc) {
@@ -201,7 +201,7 @@ TEST(Fault, BatchFaultChangesMidRunTakeEffectNextCycle) {
   const FaultSpec m1 = *makeFault(g, FaultKind::StuckAt1, "top.m");
   const FaultSpec o1 = *makeFault(g, FaultKind::StuckAt1, "top.o");
   BatchSimulation batch(g, 2);
-  Simulation faulty(g, EvaluatorKind::Levelized);
+  Simulation faulty(g, EvaluatorKind::Firing);
   const Netlist& nl = b.design->netlist;
   for (int cyc = 0; cyc < 6; ++cyc) {
     if (cyc == 1) {  // m stuck at 1: o reads 0 instead of 1

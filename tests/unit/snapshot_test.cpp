@@ -220,7 +220,9 @@ SimSnapshot throughBytes(const SimSnapshot& snap) {
 
 // A mid-run snapshot that goes through its ZSNP byte form resumes
 // bit-identically: registers, RANDOM stream position, SimErrors and
-// evaluator counters, from a scalar run and from a batch lane alike.
+// evaluator counters, from a scalar run and from a batch lane alike.  The
+// scalar runs use the firing evaluator, so the batch half is checked
+// against an engine that shares no code with the batch kernel.
 TEST(Snapshot, SerializedResumeIsBitIdentical) {
   constexpr int kCycles = 24;
   constexpr int kStopAt = 10;
@@ -229,16 +231,16 @@ TEST(Snapshot, SerializedResumeIsBitIdentical) {
   SimGraph g = buildSimGraph(*b.design, b.comp->diags());
   ASSERT_FALSE(g.hasCycle);
 
-  Simulation straight(g, EvaluatorKind::Levelized);
+  Simulation straight(g, EvaluatorKind::Firing);
   straight.setRandomSeed(kSeed);
   for (int c = 0; c < kCycles; ++c) driveResumable(straight, c);
   ASSERT_FALSE(straight.errors().empty()) << "stimulus never contended";
 
   // Scalar -> ZSNP bytes -> scalar.
-  Simulation first(g, EvaluatorKind::Levelized);
+  Simulation first(g, EvaluatorKind::Firing);
   first.setRandomSeed(kSeed);
   for (int c = 0; c < kStopAt; ++c) driveResumable(first, c);
-  Simulation resumed(g, EvaluatorKind::Levelized);
+  Simulation resumed(g, EvaluatorKind::Firing);
   resumed.restoreSnapshot(throughBytes(first.saveSnapshot()));
   for (int c = kStopAt; c < kCycles; ++c) driveResumable(resumed, c);
   EXPECT_EQ(resumed.cycle(), straight.cycle());
@@ -259,7 +261,7 @@ TEST(Snapshot, SerializedResumeIsBitIdentical) {
     }
     batch.step();
   }
-  Simulation cont(g, EvaluatorKind::Levelized);
+  Simulation cont(g, EvaluatorKind::Firing);
   cont.restoreSnapshot(throughBytes(batch.saveSnapshot(2)));
   for (int c = kStopAt; c < kCycles; ++c) driveResumable(cont, c);
   EXPECT_EQ(cont.cycle(), straight.cycle());
