@@ -420,10 +420,85 @@ CampaignResult runCampaign(const zeus::SimGraph& g, uint64_t cycles) {
   return r;
 }
 
+// ---------------------------------------------------------------------
+// Kernel cost per schedule op: the levelized kernel alone (no facade, no
+// port I/O, no latch) at one live lane and at 64, each cycle divided by
+// the schedule's length.  Both arms run the same word ops, so this is
+// like for like across lane counts; dividing by schedule steps rather
+// than tape ops keeps the figure comparable with a kernel that walked the
+// schedule itself.
+// ---------------------------------------------------------------------
+
+struct KernelResult {
+  uint64_t scheduleOps = 0;
+  uint64_t tapeOps = 0;
+  uint64_t cycles = 0;  ///< per arm per rep
+  double nsPerOp1 = 0;
+  double nsPerOp64 = 0;
+};
+
+constexpr double kKernelRepMinSeconds = 0.05;
+constexpr int kKernelReps = 5;
+
+KernelResult runKernelBench(const zeus::SimGraph& g) {
+  std::vector<zeus::LanePlanes> inputs(g.denseCount);
+  std::vector<zeus::LanePlanes> regs(
+      g.regNodes.size(), zeus::lanesBroadcast(zeus::Logic::Undef, ~0ull));
+  uint64_t x = 0xFEED;
+  for (size_t i = 0; i < g.denseCount; ++i) {
+    if (!g.nets[i].isInput) continue;
+    const uint64_t ones = xorshift(x);  // two-valued, different per lane
+    inputs[i] = {~ones, ones};
+  }
+  std::vector<uint64_t> rng(64, zeus::kDefaultRngSeed);
+  zeus::BatchSeeds seeds;
+  seeds.inputValues = &inputs;
+  seeds.regValues = &regs;
+  seeds.rngStates = rng.data();
+  zeus::LevelizedBatchEvaluator eval(g);
+  zeus::BatchCycleResult out;
+  auto timeArm = [&](uint64_t laneMask, uint64_t n) {
+    seeds.laneMask = laneMask;
+    const Clock::time_point t0 = Clock::now();
+    for (uint64_t i = 0; i < n; ++i) eval.evaluate(seeds, out);
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  // The arms alternate in chunks so both see the same host speed; each
+  // keeps its best rep.
+  uint64_t cycles = 256;
+  double best1 = 1e99, best64 = 1e99;
+  for (int kept = 0; kept < kKernelReps;) {
+    double t1 = 0, t64 = 0;
+    for (uint64_t done = 0; done < cycles; done += 64) {
+      const uint64_t n = std::min<uint64_t>(64, cycles - done);
+      t1 += timeArm(1, n);
+      t64 += timeArm(~uint64_t{0}, n);
+    }
+    if (std::min(t1, t64) < kKernelRepMinSeconds) {
+      cycles = grownCycles(cycles, std::min(t1, t64), kKernelRepMinSeconds);
+      best1 = best64 = 1e99;
+      kept = 0;
+      continue;
+    }
+    best1 = std::min(best1, t1);
+    best64 = std::min(best64, t64);
+    ++kept;
+  }
+  KernelResult r;
+  r.scheduleOps = g.schedule.size();
+  r.tapeOps = g.tape.code.size();
+  r.cycles = cycles;
+  const double perCycleOps =
+      static_cast<double>(cycles) * static_cast<double>(r.scheduleOps);
+  r.nsPerOp1 = best1 * 1e9 / perCycleOps;
+  r.nsPerOp64 = best64 * 1e9 / perCycleOps;
+  return r;
+}
+
 void emitJson(const std::string& path, int width, uint64_t cycles,
               const std::vector<RunResult>& runs,
               const CampaignResult& campaign, const OptBenchResult& opt,
-              const FarmBenchResult& farm, double speedupBatch,
+              const FarmBenchResult& farm, const KernelResult& kernel,
               double speedupLevelized) {
   std::ofstream out(path);
   out << "{\n"
@@ -512,8 +587,12 @@ void emitJson(const std::string& path, int width, uint64_t cycles,
       << "  },\n";
   out << "  \"latency\": "
       << zeus::histogram::renderLatencyBlock(latency, "  ") << ",\n"
-      << "  \"speedup_levelized_vs_firing\": " << speedupLevelized << ",\n"
-      << "  \"speedup_batch_vs_firing\": " << speedupBatch << "\n"
+      << "  \"kernel\": {\"schedule_ops\": " << kernel.scheduleOps
+      << ", \"tape_ops\": " << kernel.tapeOps
+      << ", \"cycles\": " << kernel.cycles
+      << ", \"ns_per_op_1_lane\": " << kernel.nsPerOp1
+      << ", \"ns_per_op_64_lanes\": " << kernel.nsPerOp64 << "},\n"
+      << "  \"speedup_levelized_vs_firing\": " << speedupLevelized << "\n"
       << "}\n";
 }
 
@@ -546,9 +625,8 @@ class BareLoop {
     for (uint64_t i = 0; i < cycles; ++i) {
       eval_.evaluate(seeds_, result_);
       for (size_t k = 0; k < g_.regNodes.size(); ++k) {
-        const uint32_t in = g_.regInput[k];
-        const uint64_t act = result_.activeAny[in] & 1;
-        const zeus::LanePlanes& v = result_.netValues[in];
+        const zeus::LanePlanes& v = result_.netValues[g_.regInput[k]];
+        const uint64_t act = (v.p0 | v.p1) & 1;
         zeus::LanePlanes& r = regValues_[k];
         r.p0 = (v.p0 & act) | (r.p0 & ~act);
         r.p1 = (v.p1 & act) | (r.p1 & ~act);
@@ -735,12 +813,12 @@ int main(int argc, char** argv) {
   FarmBenchResult farm;
   if (!runFarmBench(g, width, farm)) return 1;
 
+  const KernelResult kernel = runKernelBench(g);
+
   const double firing = runs[1].cyclesPerSec();
   const double speedupLevelized =
       firing > 0 ? runs[2].cyclesPerSec() / firing : 0;
-  const double speedupBatch =
-      firing > 0 ? runs[3].cyclesPerSec() / firing : 0;
-  emitJson(outPath, width, cycles, runs, campaign, opt, farm, speedupBatch,
+  emitJson(outPath, width, cycles, runs, campaign, opt, farm, kernel,
            speedupLevelized);
 
   for (const RunResult& r : runs) {
@@ -749,7 +827,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.laneCycles), r.seconds);
   }
   std::printf("levelized vs firing: %.2fx\n", speedupLevelized);
-  std::printf("batch-64  vs firing: %.2fx\n", speedupBatch);
+  std::printf("kernel             %.2f ns/op at 1 lane, %.2f ns/op at 64 "
+              "lanes (%llu schedule ops, %llu tape ops)\n",
+              kernel.nsPerOp1, kernel.nsPerOp64,
+              static_cast<unsigned long long>(kernel.scheduleOps),
+              static_cast<unsigned long long>(kernel.tapeOps));
   for (const FarmThreadRun& t : farm.median.runs) {
     std::printf("farm %zut            %12.0f lane-cycles/s  (%zu lanes x "
                 "%llu cycles in %.3fs)\n",

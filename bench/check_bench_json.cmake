@@ -94,12 +94,29 @@ foreach(i RANGE ${last})
   endif()
 endforeach()
 
-foreach(field speedup_levelized_vs_firing speedup_batch_vs_firing)
-  string(JSON v ERROR_VARIABLE jerr GET "${content}" ${field})
+string(JSON v ERROR_VARIABLE jerr GET "${content}" speedup_levelized_vs_firing)
+if(jerr)
+  message(FATAL_ERROR "missing 'speedup_levelized_vs_firing': ${jerr}")
+endif()
+
+# kernel: the levelized kernel alone, per schedule op, at 1 and 64 lanes
+# (like for like: the same design, layer and op count at both lane
+# counts).  The tape fuses single-source nets, so it has fewer ops than
+# the schedule has steps.
+foreach(field schedule_ops tape_ops cycles ns_per_op_1_lane ns_per_op_64_lanes)
+  string(JSON v ERROR_VARIABLE jerr GET "${content}" kernel ${field})
   if(jerr)
-    message(FATAL_ERROR "missing '${field}': ${jerr}")
+    message(FATAL_ERROR "kernel missing '${field}': ${jerr}")
+  endif()
+  if(v LESS_EQUAL 0)
+    message(FATAL_ERROR "kernel.${field} = ${v}")
   endif()
 endforeach()
+string(JSON ksched GET "${content}" kernel schedule_ops)
+string(JSON ktape GET "${content}" kernel tape_ops)
+if(ktape GREATER ksched)
+  message(FATAL_ERROR "kernel.tape_ops ${ktape} > schedule_ops ${ksched}")
+endif()
 
 # fault_campaign: the parallel fault-simulation throughput block.
 foreach(field faults cycles batches seconds faults_per_sec lane_utilization

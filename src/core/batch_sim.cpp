@@ -215,6 +215,7 @@ void BatchSimulation::buildFaultPlan() {
     if (!faultWindow_.activeAt(f)) continue;
     faultPlan_.add(f.denseNet, faultModeOf(f.kind), uint64_t{1} << lane);
   }
+  faultPlan_.seal(g_);
 }
 
 uint64_t BatchSimulation::laneDiffMask(NetId net) const {
@@ -354,11 +355,11 @@ void BatchSimulation::runCycle(bool latch) {
 
   if (!latch) return;
   // Per-lane two-phase latch (§5.1): a lane's register keeps its value
-  // when that lane saw no active assignment this cycle.
+  // when that lane saw no active assignment this cycle, i.e. when the
+  // lane's input reads NOINFL.
   for (size_t k = 0; k < g_.regNodes.size(); ++k) {
-    const uint32_t in = g_.regInput[k];
-    uint64_t act = result_.activeAny[in];
-    const LanePlanes& v = result_.netValues[in];
+    const LanePlanes& v = result_.netValues[g_.regInput[k]];
+    const uint64_t act = v.p0 | v.p1;
     LanePlanes& r = regValues_[k];
     r.p0 = (v.p0 & act) | (r.p0 & ~act);
     r.p1 = (v.p1 & act) | (r.p1 & ~act);

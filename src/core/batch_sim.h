@@ -1,8 +1,8 @@
 // 64-wide batch simulation facade over the levelized evaluator.
 //
 // Packs up to 64 independent stimulus vectors ("lanes") into two bit
-// planes per net and evaluates all of them with one word-parallel walk of
-// the levelized schedule — corpus regression sweeps and random
+// planes per net and evaluates all of them with one word-parallel run of
+// the graph's levelized tape — corpus regression sweeps and random
 // differential testing run ~lanes cycles of work per evaluated cycle.
 // Lane L behaves exactly like a scalar Simulation fed lane L's inputs:
 // same net values, same register trajectories, same per-lane multiplex

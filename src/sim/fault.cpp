@@ -13,6 +13,15 @@
 
 namespace zeus {
 
+void BatchFaultPlan::seal(const SimGraph& g) {
+  const LevelizedTape& t = g.tape;
+  std::sort(stops.begin(), stops.end(), [&](const auto& a, const auto& b) {
+    return t.resolveRank[a.second] < t.resolveRank[b.second];
+  });
+  stops.erase(std::unique(stops.begin(), stops.end()), stops.end());
+  for (auto& [pos, dn] : stops) pos = t.resolvePos[dn];
+}
+
 namespace {
 
 metrics::Counter campaignsRun("fault-campaigns");

@@ -97,6 +97,11 @@ struct BatchFaultPlan {
   std::vector<uint64_t> forceUndef;
   std::vector<uint64_t> flip;
   std::vector<uint64_t> contend;
+  /// (resolve position, net) of every faulted net, in schedule order once
+  /// seal() has run: the levelized kernel runs its tape up to each
+  /// position and overlays the net's slot there (LevelizedTape::
+  /// resolvePos), so a fault-free stretch of the tape pays no fault test.
+  std::vector<std::pair<uint32_t, uint32_t>> stops;
   bool any = false;
 
   void resize(size_t denseCount) {
@@ -105,6 +110,7 @@ struct BatchFaultPlan {
     forceUndef.assign(denseCount, 0);
     flip.assign(denseCount, 0);
     contend.assign(denseCount, 0);
+    stops.clear();
   }
   void clearNet(uint32_t dn) {
     force0[dn] = force1[dn] = forceUndef[dn] = flip[dn] = contend[dn] = 0;
@@ -119,8 +125,13 @@ struct BatchFaultPlan {
       case FaultMode::Flip: flip[dn] |= lanes; break;
       case FaultMode::Contend: contend[dn] |= lanes; break;
     }
+    stops.emplace_back(0, dn);
     any = true;
   }
+  /// Orders `stops` by the nets' resolve steps in `g`'s schedule, drops
+  /// repeats and fills in their resolve positions.  Call it once the plan
+  /// is complete.
+  void seal(const SimGraph& g);
 };
 
 /// The cycles over which a fault overlay stays valid: Simulation and

@@ -10,6 +10,12 @@
 namespace zeus {
 
 SimGraph buildSimGraph(const Design& design, DiagnosticEngine& diags) {
+  SimGraph g = levelizeGraph(design, diags);
+  if (!g.hasCycle) lowerTape(g);
+  return g;
+}
+
+SimGraph levelizeGraph(const Design& design, DiagnosticEngine& diags) {
   ZEUS_TRACE_SPAN("graph-build", "compile");
   SimGraph g;
   g.design = &design;
@@ -113,10 +119,8 @@ SimGraph buildSimGraph(const Design& design, DiagnosticEngine& diags) {
     g.nets[i].multiDriven =
         driverLists[i].size() + (g.nets[i].isInput ? 1 : 0) > 1;
   }
-  g.regIndexOf.assign(nl.nodeCount(), SimGraph::kNotReg);
   g.regInput.resize(g.regNodes.size());
   for (size_t k = 0; k < g.regNodes.size(); ++k) {
-    g.regIndexOf[g.regNodes[k]] = static_cast<uint32_t>(k);
     g.regInput[k] = g.denseOf[nl.node(g.regNodes[k]).inputs[0]];
   }
 

@@ -27,6 +27,59 @@ struct PortHandle {
   uint32_t width = 0;
 };
 
+/// SimGraph::schedule lowered once into the flat structure-of-arrays
+/// program the levelized kernel runs (src/sim/levelized_evaluator.h).
+/// Every operand is a pre-resolved slot: the first denseCount slots are
+/// the dense nets, the rest are private driver slots.  A net with exactly
+/// one source (one driver, or the primary input alone) has no resolve op:
+/// its driver writes the net's slot directly, and a REG or input source
+/// is loaded into it at cycle start.  Only multi-source nets keep a
+/// resolve op, over the private slots of their sources.
+struct LevelizedTape {
+  enum class Op : uint8_t {
+    Const,    ///< args: the Logic value, broadcast to every lane
+    Random,   ///< no args; one draw per live lane
+    Buf,      ///< non-boolean output: NOINFL passes through
+    BufBool,  ///< boolean output: NOINFL reads UNDEF
+    Not,
+    And,
+    Nand,
+    Or,
+    Nor,
+    Xor,
+    Equal,    ///< args: a[0..m) then b[0..m)
+    Switch,   ///< args: cond, data
+    Resolve,  ///< §8 strength resolution over the net's source slots
+  };
+  std::vector<Op> code;            ///< per op
+  std::vector<uint32_t> out;       ///< per op: the slot it writes
+  std::vector<uint32_t> argStart;  ///< per op + 1: its range of args
+  std::vector<uint32_t> args;      ///< operand slots of every op
+  size_t slotCount = 0;            ///< dense nets + private slots
+
+  /// Cycle-start loads: input net inputNet[j]'s planes into inputSlot[j],
+  /// and REG k's stored planes into regSlot[k].
+  std::vector<uint32_t> inputNet;
+  std::vector<uint32_t> inputSlot;
+  std::vector<uint32_t> regSlot;
+
+  /// Per dense net: its place among the schedule's resolve steps, and the
+  /// number of ops emitted up to and including its resolve step.  A fault
+  /// overlay on the net applies after op resolvePos - 1, which follows
+  /// every driver of the net and precedes every consumer.
+  std::vector<uint32_t> resolveRank;
+  std::vector<uint32_t> resolvePos;
+
+  /// One cycle's work in schedule terms (EvalStats): node steps, net
+  /// steps and multi-source nets (contention checks).
+  uint64_t nodeSteps = 0;
+  uint64_t netSteps = 0;
+  uint64_t contentionChecks = 0;
+
+  friend bool operator==(const LevelizedTape&,
+                         const LevelizedTape&) = default;
+};
+
 struct SimGraph {
   const Design* design = nullptr;
 
@@ -68,10 +121,7 @@ struct SimGraph {
   std::vector<NodeId> regNodes;
   std::vector<NodeId> sourceNodes;  ///< Const / Random (no net inputs)
 
-  /// regIndexOf entry of a node that is not a REG.
-  static constexpr uint32_t kNotReg = 0xFFFFFFFFu;
-  std::vector<uint32_t> regIndexOf;  ///< NodeId -> regNodes index or kNotReg
-  std::vector<uint32_t> regInput;    ///< per regNodes index: input's slot
+  std::vector<uint32_t> regInput;  ///< per regNodes index: input's slot
 
   /// One schedule step: resolve dense net `index` from its drivers, or
   /// evaluate node `index` from its already resolved input nets.
@@ -92,6 +142,9 @@ struct SimGraph {
 
   bool hasCycle = false;
   std::string cycleDescription;
+
+  /// The schedule lowered for the levelized kernel; empty when hasCycle.
+  LevelizedTape tape;
 
   /// Per Design::ports entry, resolved once so port I/O never walks the
   /// union-find: each bit's dense slot (port index 1, the LSB, first) and
@@ -122,10 +175,18 @@ struct SimGraph {
   }
 };
 
-/// Builds the graph.  Reports CombinationalLoop through `diags` when the
-/// non-register part of the design is cyclic (then hasCycle is set and the
-/// graph must not be simulated).
+/// Builds the graph and, when it is acyclic, lowers its tape.  Reports
+/// CombinationalLoop through `diags` when the non-register part of the
+/// design is cyclic (then hasCycle is set and the graph must not be
+/// simulated).
 SimGraph buildSimGraph(const Design& design, DiagnosticEngine& diags);
+/// buildSimGraph without the tape: for a graph that is analysed but not
+/// simulated (the optimizer's pre-pass graph).  lowerTape() it before
+/// simulating it.
+SimGraph levelizeGraph(const Design& design, DiagnosticEngine& diags);
+/// Lowers an acyclic graph's schedule into its tape (defined next to the
+/// kernel, in src/sim/levelized_evaluator.cpp).
+void lowerTape(SimGraph& g);
 
 /// Verifies the user's SEQUENTIAL annotations against the data dependences
 /// of the graph (§4.5: the simulator checks that the specified sequence is

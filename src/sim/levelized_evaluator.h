@@ -1,21 +1,27 @@
 // Levelized evaluator: the cycle-compiled counterpart of the firing rules.
 //
-// buildSimGraph levelizes the acyclic semantics graph once into
-// SimGraph::schedule, a flat list of interleaved net-resolution and
-// node-evaluation steps.  A cycle is then one linear walk over dense
-// arrays — no worklist, no per-edge arrival events, no per-cycle
-// std::fill over the whole state: every step writes its slot before any
-// later step reads it.  The results are bit-identical to the firing
-// evaluator.
+// buildSimGraph levelizes the acyclic semantics graph into
+// SimGraph::schedule, a list of interleaved net-resolution and
+// node-evaluation steps, and lowerTape() lowers that schedule once per
+// graph into SimGraph::tape: a flat structure-of-arrays program of ops
+// with pre-resolved operand slots.  A net with a single source is fused
+// into it (its driver writes the net's slot; a REG or primary input is
+// loaded there at cycle start), so only multi-source nets keep a resolve
+// op.  A cycle is then one loop over the tape — no Node structs, no
+// denseOf lookups, no worklist and no per-cycle reset: every op writes
+// its slot before any later op reads it.  The results are bit-identical
+// to the firing evaluator.
 //
-// The walk is word-parallel: up to 64 independent stimulus lanes are
-// packed into two 64-bit planes per net (four-valued logic as 2 bits per
+// The loop is word-parallel: up to 64 independent stimulus lanes are
+// packed into two 64-bit planes per slot (four-valued logic as 2 bits per
 // lane) and every gate evaluates all lanes with a handful of boolean
 // ops.  It is the only levelized kernel: BatchSimulation runs it on 1..64
 // lanes, and a scalar Simulation with EvaluatorKind::Levelized runs it on
-// lane 0 alone.  The §8 at-most-one-driver check is still per lane:
-// contention surfaces as a bitmask of colliding lanes on each
-// multiply-driven net.
+// lane 0 alone.  The graph is immutable once built, so every farm thread
+// runs the same tape without a lock.  The §8 at-most-one-driver check is
+// still per lane: contention surfaces as a bitmask of colliding lanes on
+// each multiply-driven net.  Fault overlays split the loop into segments
+// at each faulted net's resolve position (BatchFaultPlan::stops).
 #pragma once
 
 #include <cstdint>
@@ -81,16 +87,21 @@ struct BatchSeeds {
   /// Lanes in use.  Contention is reported and RANDOM drawn only for
   /// these; the other lanes' values are unspecified.
   uint64_t laneMask = ~uint64_t{0};
-  /// Per-lane fault-injection overlay (src/sim/fault.h); null or !any =
-  /// fault-free.  Lane L of each mask mirrors what a scalar run with the
-  /// same FaultMode on that net would compute.
+  /// Per-lane fault-injection overlay (src/sim/fault.h), sealed against
+  /// this graph; null or !any = fault-free.  Lane L of each mask mirrors
+  /// what a scalar run with the same FaultMode on that net would compute.
   const BatchFaultPlan* faults = nullptr;
 };
 
 struct BatchCycleResult {
-  std::vector<LanePlanes> netValues;  ///< per dense net, raw (may be NOINFL)
-  std::vector<uint64_t> activeAny;    ///< lanes with >=1 active driver
-  std::vector<uint64_t> activeMulti;  ///< lanes with >=2 active drivers
+  /// Per tape slot: the dense nets first (netValues[i] for dense net i,
+  /// raw, may be NOINFL; a net has an active driver exactly on its
+  /// non-NOINFL lanes), then the tape's private driver slots.
+  std::vector<LanePlanes> netValues;
+  /// Per dense net: lanes with >=2 active drivers.  Written only for
+  /// multi-driven nets and nets with a Contend fault, so read it only for
+  /// the nets in `collisions`.
+  std::vector<uint64_t> activeMulti;
   std::vector<uint32_t> collisions;   ///< nets with activeMulti∩laneMask ≠ ∅
 };
 
@@ -110,9 +121,6 @@ class LevelizedBatchEvaluator {
   /// What one cycle adds to stats_: the schedule fires every node and
   /// resolves every net exactly once, whatever the values.
   EvalStats perCycle_;
-  /// Node outputs.  Every non-REG driver's step precedes its net's
-  /// resolve step, so each slot is written before it is read.
-  std::vector<LanePlanes> nodeOut_;
 };
 
 }  // namespace zeus

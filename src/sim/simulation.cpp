@@ -175,6 +175,7 @@ void Simulation::buildFaultPlan() {
       faultPlan_.any = true;
     }
   }
+  if (levelized_) laneFaults_.seal(g_);
 }
 
 void Simulation::setStatsInternal(const EvalStats& s) {
@@ -244,11 +245,11 @@ void Simulation::evaluateScalar() {
   rngState_ = scalar_.rngState;
   watchdogTripped_ = scalar_.watchdogTripped;
 
+  // Activity is not packed: on a cycle that latches, a net has an active
+  // driver exactly when its value is not NOINFL, as in the kernel.
   result_.netValues.resize(g_.denseCount);
-  result_.activeAny.resize(g_.denseCount);
   for (size_t i = 0; i < g_.denseCount; ++i) {
     result_.netValues[i] = lanesBroadcast(scalar_.netValues[i], 1);
-    result_.activeAny[i] = scalar_.activeCounts[i] > 0;
   }
   result_.collisions = scalar_.collisions;
 }
@@ -293,12 +294,11 @@ void Simulation::runCycle(bool latch) {
   if (profiling_) profileCycle();
   // Two-phase latch: every register reads its input's resolved value from
   // this cycle; "if in is not changed during a clock cycle, it keeps its
-  // value" (§5.1) — no active assignment means keep.  An active net is
-  // never NOINFL.
+  // value" (§5.1) — no active assignment means keep.  A net is actively
+  // driven exactly on its non-NOINFL lanes.
   for (size_t k = 0; k < g_.regNodes.size(); ++k) {
-    const uint32_t in = g_.regInput[k];
-    const uint64_t act = result_.activeAny[in] & 1;
-    const LanePlanes& v = result_.netValues[in];
+    const LanePlanes& v = result_.netValues[g_.regInput[k]];
+    const uint64_t act = (v.p0 | v.p1) & 1;
     LanePlanes& r = regValues_[k];
     r.p0 = (v.p0 & act) | (r.p0 & ~act);
     r.p1 = (v.p1 & act) | (r.p1 & ~act);

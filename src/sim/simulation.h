@@ -28,9 +28,9 @@ namespace zeus {
 /// Firing: event-driven §8 firing rules (short-circuit, one pass); the
 /// oracle every other engine is checked against.
 /// Naive: sweep-to-fixpoint baseline (ablation partner).
-/// Levelized: statically scheduled linear walk, the fastest interpreter.
-/// It is the word-parallel kernel under the 64-lane BatchSimulation
-/// facade (src/core/batch_sim.h), run on lane 0 alone.
+/// Levelized: one loop over the graph's flat tape, the fastest
+/// interpreter.  It is the word-parallel kernel under the 64-lane
+/// BatchSimulation facade (src/core/batch_sim.h), run on lane 0 alone.
 enum class EvaluatorKind { Firing, Naive, Levelized };
 
 /// A runtime fault recorded during simulation.  Faults never abort the
@@ -232,8 +232,7 @@ class Simulation {
   std::vector<LanePlanes> regValues_;  ///< per graph.regNodes index, lane 0
   /// The last evaluated cycle in lane 0, whatever the engine: the
   /// levelized kernel writes it; the firing and naive results are packed
-  /// in (values, activity and the collision list, which is all the
-  /// facade reads).
+  /// in (values and the collision list, which is all the facade reads).
   BatchCycleResult result_;
   CycleResult scalar_;             ///< firing / naive result
   std::vector<Logic> scalarRegs_;  ///< regValues_ unpacked for them

@@ -241,7 +241,9 @@ OptReport optimizeDesign(Design& design, DiagnosticEngine& diags,
     report.nodesAfter = report.nodesBefore;
     return report;
   }
-  SimGraph g = buildSimGraph(design, diags);
+  // Both graphs are built without their tape: the returned one is lowered
+  // once at the end, and the pre-pass one never simulates.
+  SimGraph g = levelizeGraph(design, diags);
   report.denseBefore = g.denseCount;
   if (g.hasCycle) {
     report.hasCycle = true;
@@ -275,7 +277,7 @@ OptReport optimizeDesign(Design& design, DiagnosticEngine& diags,
     report.passes.push_back(alias);
     optNetsDropped.add(alias.netsDropped);
 
-    g = buildSimGraph(design, diags);
+    g = levelizeGraph(design, diags);
 
     // The fingerprint covers the pass configuration and its effect; any
     // nonzero value flips designContentHash away from the -O0 hash, so
@@ -305,6 +307,7 @@ OptReport optimizeDesign(Design& design, DiagnosticEngine& diags,
                     report.verifyError +
                     " (internal error; please report this design)");
   }
+  lowerTape(g);
   report.graph = std::make_unique<SimGraph>(std::move(g));
   return report;
 }

@@ -171,20 +171,11 @@ std::string verifyGraph(const Design& design, const SimGraph& g) {
     prevSource = ni;
     firstSource = false;
   }
-  if (g.regIndexOf.size() != nl.nodeCount() ||
-      g.regInput.size() != g.regNodes.size()) {
+  if (g.regInput.size() != g.regNodes.size()) {
     return "REG tables have wrong size";
-  }
-  for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
-    const uint32_t k = g.regIndexOf[ni];
-    if (k == SimGraph::kNotReg) continue;
-    if (k >= g.regNodes.size() || g.regNodes[k] != ni) {
-      return at("regIndexOf stale at node", ni);
-    }
   }
   for (size_t k = 0; k < g.regNodes.size(); ++k) {
     const NodeId ni = g.regNodes[k];
-    if (g.regIndexOf[ni] != k) return at("regIndexOf misses REG node", ni);
     if (g.regInput[k] != g.denseOf[nl.node(ni).inputs[0]]) {
       return at("regInput stale at REG node", ni);
     }

@@ -314,6 +314,60 @@ TEST(Differential, LevelizedCountersEqualFiringOnTheCorpus) {
   }
 }
 
+// The register latch of both facades reads a net's activity off its value:
+// a lane latches where its input is not NOINFL.  That needs an active net
+// never to read NOINFL and an inactive one always to, which is what the
+// kernel computes.  Firing and naive report activity separately; on every
+// corpus program at -O0 and -O1, on every cycle that latches, it must be
+// the same thing.
+TEST(Differential, ActiveNetsAreExactlyTheNonNoinflNets) {
+  for (const corpus::CorpusEntry& e : corpus::all()) {
+    for (int level : {0, 1}) {
+      SCOPED_TRACE(std::string(e.name) + " -O" + std::to_string(level));
+      std::string top;
+      Built b = buildOk(corpusSource(e, &top), top);
+      OptOptions opts;
+      opts.level = level;
+      OptReport rep = b.comp->optimize(*b.design, opts);
+      if (!rep.graph) continue;  // cyclic: not simulated
+      const SimGraph& g = *rep.graph;
+      FiringEvaluator firing(g);
+      NaiveEvaluator naive(g);
+      std::vector<Logic> inputs(g.denseCount, Logic::Undef);
+      std::vector<char> inputSet(g.denseCount, 0);
+      std::vector<Logic> regs(g.regNodes.size());
+      CycleSeeds seeds;
+      seeds.inputValues = &inputs;
+      seeds.inputSet = &inputSet;
+      seeds.regValues = &regs;
+      std::mt19937_64 rng(11);
+      const Logic kValues[] = {Logic::Zero, Logic::One, Logic::Undef};
+      CycleResult out;
+      for (int c = 0; c < 16; ++c) {
+        for (size_t i = 0; i < g.denseCount; ++i) {
+          if (!g.nets[i].isInput) continue;
+          inputSet[i] = rng() % 5 != 0;  // now and then undriven
+          inputs[i] = kValues[rng() % 3];
+        }
+        for (Logic& r : regs) r = kValues[rng() % 3];
+        seeds.rngState = rng() | 1;
+        for (int engine = 0; engine < 2; ++engine) {
+          if (engine == 0) firing.evaluate(seeds, out);
+          else naive.evaluate(seeds, out);
+          if (out.watchdogTripped) continue;  // does not latch
+          for (size_t i = 0; i < g.denseCount; ++i) {
+            ASSERT_EQ(out.activeCounts[i] > 0,
+                      out.netValues[i] != Logic::NoInfl)
+                << (engine ? "naive" : "firing") << " net "
+                << b.design->netlist.net(g.rootOf[i]).name << " cycle "
+                << c;
+          }
+        }
+      }
+    }
+  }
+}
+
 // A design exercising everything a checkpoint must capture: RANDOM draws,
 // a REG trajectory, and input-dependent multiplex contention (SimErrors).
 const char* kResumable = R"(

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 
 #include "tests/support/paper_examples.h"
 #include "tests/support/test_util.h"
@@ -190,6 +191,160 @@ TEST(Fault, BatchLaneMatchesScalarFaultySimulation) {
       }
     }
   }
+}
+
+// One net of each kind the levelized kernel's tape treats differently:
+// a gate net fused into its driver's slot (g, n), a fused REG output
+// (r.out, loaded at cycle start), a REG input the latch reads (r.in), a
+// multi-driven net with a resolve op (m) and a primary input (a).
+const char* kFaultSites = R"(
+TYPE t = COMPONENT (IN a, b, c: boolean; OUT o, q, p: boolean) IS
+  SIGNAL r: REG;
+  SIGNAL m: multiplex;
+  SIGNAL g, h, n: boolean;
+BEGIN
+  g := AND(a, b);
+  h := OR(g, c);
+  r.in := h;
+  IF a THEN m := g END;
+  IF c THEN m := b END;
+  n := NOT m;
+  o := r.out;
+  q := n;
+  p := XOR(r.out, h)
+END;
+SIGNAL top: t;
+)";
+
+TEST(Fault, EveryModeOnEveryKindOfNetMatchesFiring) {
+  Built b = buildOk(kFaultSites, "top");
+  SimGraph g = buildSimGraph(*b.design, b.comp->diags());
+  ASSERT_FALSE(g.hasCycle);
+  auto denseOf = [&](const char* name) {
+    return g.dense(b.design->netlist.findByName(name));
+  };
+  // The sites are what their names say.
+  const uint32_t gate = denseOf("top.g"), rout = denseOf("top.r.out");
+  const uint32_t rin = denseOf("top.r.in"), mux = denseOf("top.m");
+  const uint32_t in = denseOf("top.a");
+  ASSERT_EQ(g.regNodes.size(), 1u);
+  EXPECT_EQ(g.regInput[0], rin);
+  EXPECT_TRUE(g.nets[rout].regDriven && !g.nets[rout].multiDriven);
+  EXPECT_TRUE(g.nets[mux].multiDriven);
+  EXPECT_TRUE(g.nets[in].isInput && !g.nets[in].multiDriven);
+  for (uint32_t fused : {gate, rin}) {
+    EXPECT_EQ(std::count(g.tape.out.begin(), g.tape.out.end(), fused), 1)
+        << "one op writes fused net " << fused;
+  }
+  EXPECT_EQ(g.tape.regSlot[0], rout);  // the REG loads into its net
+  EXPECT_EQ(std::count(g.tape.code.begin(), g.tape.code.end(),
+                       LevelizedTape::Op::Resolve),
+            1);  // m's
+
+  const Netlist& nl = b.design->netlist;
+  constexpr size_t kLanes = 4;
+  for (const char* site :
+       {"top.g", "top.r.out", "top.r.in", "top.m", "top.a"}) {
+    for (FaultKind fk :
+         {FaultKind::StuckAt0, FaultKind::StuckAt1, FaultKind::StuckUndef,
+          FaultKind::TransientFlip, FaultKind::ForcedContention}) {
+      SCOPED_TRACE(std::string(site) + " " +
+                   std::string(faultKindName(fk)));
+      // Lanes 1 and 3 carry the fault, over different windows; lanes 0
+      // and 2 stay golden.
+      const FaultSpec whole = *makeFault(g, fk, site);
+      const FaultSpec window = *makeFault(g, fk, site, 2, 5);
+      BatchSimulation batch(g, kLanes);
+      batch.injectFault(1, whole);
+      batch.injectFault(3, window);
+      std::vector<Simulation> firing, levelized;
+      for (size_t l = 0; l < kLanes; ++l) {
+        firing.emplace_back(g, EvaluatorKind::Firing);
+        levelized.emplace_back(g, EvaluatorKind::Levelized);
+        if (l % 2 == 1) {
+          firing[l].injectFault(l == 1 ? whole : window);
+          levelized[l].injectFault(l == 1 ? whole : window);
+        }
+      }
+      std::mt19937_64 rng(static_cast<uint64_t>(fk) * 31 + site[4]);
+      for (int cyc = 0; cyc < 10; ++cyc) {
+        for (size_t l = 0; l < kLanes; ++l) {
+          for (const char* port : {"a", "b", "c"}) {
+            const Logic v = rng() % 4 ? logicFromBool(rng() & 1)
+                                      : Logic::Undef;
+            batch.setInput(l, port, v);
+            firing[l].setInput(port, v);
+            levelized[l].setInput(port, v);
+          }
+          firing[l].step();
+          levelized[l].step();
+        }
+        batch.step();
+        for (size_t l = 0; l < kLanes; ++l) {
+          ASSERT_EQ(batch.saveRegisters(l), firing[l].saveRegisters())
+              << "lane " << l << " cycle " << cyc;
+          for (NetId n = 0; n < nl.netCount(); ++n) {
+            const Logic want = firing[l].netValue(n);
+            ASSERT_EQ(batch.netValue(l, n), want)
+                << nl.net(n).name << " lane " << l << " cycle " << cyc;
+            ASSERT_EQ(levelized[l].netValue(n), want)
+                << nl.net(n).name << " lane " << l << " cycle " << cyc;
+          }
+        }
+      }
+      for (size_t l = 0; l < kLanes; ++l) {
+        std::vector<std::pair<uint64_t, std::string>> want, got;
+        for (const SimError& e : firing[l].errors()) {
+          want.emplace_back(e.cycle, e.netName);
+        }
+        for (const SimError& e : batch.errors()) {
+          if (e.lane == static_cast<int32_t>(l)) {
+            got.emplace_back(e.cycle, e.netName);
+          }
+        }
+        std::sort(want.begin(), want.end());
+        EXPECT_EQ(got, want) << "lane " << l;  // batch: (cycle, lane, net)
+        got.clear();
+        for (const SimError& e : levelized[l].errors()) {
+          got.emplace_back(e.cycle, e.netName);
+        }
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, want) << "scalar levelized, lane " << l;
+      }
+    }
+  }
+}
+
+TEST(Fault, ForcedContentionOnFusedNetsKeepsScheduleOrder) {
+  // A real collision on m between Contend faults on two fused nets, one
+  // resolved before m (g) and one after it (n): a scalar levelized run
+  // reports a cycle's collisions in the order the schedule resolves the
+  // nets, as the schedule walk always did.
+  Built b = buildOk(kFaultSites, "top");
+  SimGraph g = buildSimGraph(*b.design, b.comp->diags());
+  Simulation sim(g, EvaluatorKind::Levelized);
+  sim.injectFault(*makeFault(g, FaultKind::ForcedContention, "top.n"));
+  sim.injectFault(*makeFault(g, FaultKind::ForcedContention, "top.g"));
+  for (const char* port : {"a", "b", "c"}) sim.setInput(port, Logic::One);
+  sim.step(2);  // a = c = 1: both IFs drive m
+
+  std::vector<std::string> order;
+  for (const SimGraph::Step& st : g.schedule) {
+    if (st.isNode) continue;
+    const std::string& name = b.design->netlist.net(g.rootOf[st.index]).name;
+    if (name == "top.g" || name == "top.m" || name == "top.n") {
+      order.push_back(name);
+    }
+  }
+  ASSERT_EQ(order, (std::vector<std::string>{"top.g", "top.m", "top.n"}));
+  std::vector<std::string> got;
+  for (const SimError& e : sim.errors()) {
+    EXPECT_EQ(e.code, Diag::SimContention);
+    got.push_back(std::to_string(e.cycle) + " " + e.netName);
+  }
+  EXPECT_EQ(got, (std::vector<std::string>{"0 top.g", "0 top.m", "0 top.n",
+                                           "1 top.g", "1 top.m",
+                                           "1 top.n"}));
 }
 
 TEST(Fault, BatchFaultChangesMidRunTakeEffectNextCycle) {

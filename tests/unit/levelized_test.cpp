@@ -41,6 +41,24 @@ END;
 SIGNAL top: t;
 )";
 
+// The kernel runs the graph's tape, which buildSimGraph lowers; a graph
+// from levelizeGraph has none until lowerTape runs.
+TEST(Levelized, RefusesAGraphWithoutItsTape) {
+  Built b = buildOk(kRegBuf, "top");
+  SimGraph g = levelizeGraph(*b.design, b.comp->diags());
+  ASSERT_FALSE(g.hasCycle);
+  EXPECT_THROW(Simulation(g, EvaluatorKind::Levelized), std::invalid_argument);
+  EXPECT_THROW(BatchSimulation(g, 2), std::invalid_argument);
+  Simulation firing(g, EvaluatorKind::Firing);  // reads no tape
+  lowerTape(g);
+  Simulation levelized(g, EvaluatorKind::Levelized);
+  for (Simulation* s : {&firing, &levelized}) {
+    s->setInput("a", Logic::One);
+    s->step(2);
+    EXPECT_EQ(s->output("o"), Logic::One);
+  }
+}
+
 TEST(LanePlanes, BroadcastSetGetRoundtrip) {
   for (Logic v : {Logic::Zero, Logic::One, Logic::Undef, Logic::NoInfl}) {
     LanePlanes all = lanesBroadcast(v, ~uint64_t{0});

@@ -493,12 +493,12 @@ TEST(OptimizeGraph, ReturnedGraphMatchesAFreshBuild) {
       EXPECT_EQ(g.driverNodes, fresh.driverNodes);
       EXPECT_EQ(g.regNodes, fresh.regNodes);
       EXPECT_EQ(g.sourceNodes, fresh.sourceNodes);
-      EXPECT_EQ(g.regIndexOf, fresh.regIndexOf);
       EXPECT_EQ(g.regInput, fresh.regInput);
       EXPECT_TRUE(g.schedule == fresh.schedule);
       EXPECT_EQ(g.netLevel, fresh.netLevel);
       EXPECT_EQ(g.maxLevel, fresh.maxLevel);
       EXPECT_TRUE(g.portSlots == fresh.portSlots);
+      EXPECT_TRUE(g.tape == fresh.tape);
     }
   }
 }
