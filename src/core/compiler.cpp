@@ -69,7 +69,7 @@ LintReport Compilation::lint(const Design& design, const LintOptions& opts) {
   // only if the caller has not already built a graph — a second build
   // would duplicate the error.  has() makes the rebuild idempotent.
   if (diags_->has(Diag::CombinationalLoop)) return {};
-  SimGraph graph = buildSimGraph(design, *diags_);
+  SimGraph graph = levelizeGraph(design, *diags_);  // analysed, not simulated
   ZEUS_TRACE_SPAN("lint", "compile");
   return runLint(design, graph, *diags_, opts);
 }

@@ -1,7 +1,8 @@
 // The semantics graph (paper §8): the canonicalised netlist prepared for
 // evaluation — dense net numbering over alias-class roots, consumer edges,
-// combinational-cycle detection (REG is the only cycle breaker) and the
-// levelized schedule every levelized evaluator runs.
+// combinational-cycle detection (REG is the only cycle breaker), the
+// levelized schedule and the tape the levelized kernel runs, lowered from
+// it.
 #pragma once
 
 #include <cstdint>
@@ -181,7 +182,7 @@ struct SimGraph {
 /// simulated).
 SimGraph buildSimGraph(const Design& design, DiagnosticEngine& diags);
 /// buildSimGraph without the tape: for a graph that is analysed but not
-/// simulated (the optimizer's pre-pass graph).  lowerTape() it before
+/// simulated (the optimizer's graphs, lint).  lowerTape() it before
 /// simulating it.
 SimGraph levelizeGraph(const Design& design, DiagnosticEngine& diags);
 /// Lowers an acyclic graph's schedule into its tape (defined next to the

@@ -275,8 +275,8 @@ void lowerTape(SimGraph& g) {
       t.inputNet.push_back(i);
       t.inputSlot.push_back(i);
     } else if (n > 1) {
-      // Sources in the order the firing rules take them: the primary
-      // input first, then the drivers.
+      // The primary input's slot, then the drivers'.  Their order does
+      // not change the result: two active sources collide to UNDEF.
       ++t.contentionChecks;
       if (g.nets[i].isInput) {
         t.inputNet.push_back(i);
