@@ -183,7 +183,7 @@ LintReport runLint(const Design& design, const SimGraph& graph,
         continue;
       }
       if (node.op == NodeOp::Switch) {
-        uint32_t guard = graph.dense(node.inputs[0]);
+        uint32_t guard = graph.dense(nl.inputs(d)[0]);
         if (pass.netConst[guard] == known(Logic::Zero)) continue;  // dead
         ++conditional;
         ++guardGroups[guard];
@@ -261,7 +261,7 @@ LintReport runLint(const Design& design, const SimGraph& graph,
   for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
     const Node& node = nl.node(ni);
     if (node.op == NodeOp::Switch) {
-      if (pass.netConst[graph.dense(node.inputs[0])] ==
+      if (pass.netConst[graph.dense(nl.inputs(ni)[0])] ==
           known(Logic::Zero)) {
         emit(LintRule::DeadBranch, Diag::LintDeadBranch, Severity::Warning,
              pass.repName[graph.dense(node.output)], node.loc,
@@ -287,7 +287,7 @@ LintReport runLint(const Design& design, const SimGraph& graph,
   }
   for (NodeId ni : graph.regNodes) {
     const Node& reg = nl.node(ni);
-    int8_t c = pass.netConst[graph.dense(reg.inputs[0])];
+    int8_t c = pass.netConst[graph.dense(nl.inputs(ni)[0])];
     if (c == known(Logic::Undef) || c == known(Logic::NoInfl)) {
       emit(LintRule::ConstantRegister, Diag::LintConstantRegister,
            Severity::Warning, pass.repName[graph.dense(reg.output)],

@@ -95,7 +95,7 @@ std::string exportDot(const Design& design, size_t maxNodes) {
     if (n.output != kNoNet) driversOf[nl.find(n.output)].push_back(i);
   }
   for (NodeId j = 0; j < nl.nodeCount() && j < maxNodes; ++j) {
-    for (NetId in : nl.node(j).inputs) {
+    for (NetId in : nl.inputs(j)) {
       NetId root = nl.find(in);
       auto it = driversOf.find(root);
       if (it == driversOf.end()) continue;

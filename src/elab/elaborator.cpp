@@ -406,13 +406,8 @@ void Impl::materialise(Obj& obj, SourceLoc loc) {
     out.mode = ParamMode::Out;
     out.obj = makeObj(tt_.boolean(), inst.path + ".out", true, loc);
     d_->netlist.net(out.obj.net).isRegOutput = true;
-    Node reg;
-    reg.op = NodeOp::Reg;
-    reg.inputs = {in.obj.net};
-    reg.output = out.obj.net;
-    reg.loc = loc;
     d_->netlist.net(out.obj.net).uncondDrivers++;  // driven by the register
-    d_->netlist.addNode(std::move(reg));
+    d_->netlist.addNode(NodeOp::Reg, {in.obj.net}, out.obj.net, loc);
     inst.members.emplace("in", std::move(in));
     inst.members.emplace("out", std::move(out));
     inst.memberOrder = {"in", "out"};
@@ -1278,13 +1273,8 @@ RVal Impl::flattenPathR(const Path& p, SourceLoc loc) {
         if (b.guard != kNoNet) {
           // single guarded alternative: value if guard else NOINFL
           NetId tmp = freshNet("$sel", BasicKind::Multiplex, loc);
-          Node sw;
-          sw.op = NodeOp::Switch;
-          sw.inputs = {b.guard, b.net};
-          sw.output = tmp;
-          sw.loc = loc;
           d_->netlist.net(tmp).condDrivers++;
-          d_->netlist.addNode(std::move(sw));
+          d_->netlist.addNode(NodeOp::Switch, {b.guard, b.net}, tmp, loc);
           r.net = tmp;
         } else {
           r.net = b.net;
@@ -1307,13 +1297,9 @@ RVal Impl::flattenPathR(const Path& p, SourceLoc loc) {
       NetId tmp = freshNet("$mux", BasicKind::Multiplex, loc);
       for (size_t ai = 0; ai < flats.size(); ++ai) {
         if (j >= flats[ai].size()) continue;
-        Node sw;
-        sw.op = NodeOp::Switch;
-        sw.inputs = {flats[ai][j].guard, flats[ai][j].net};
-        sw.output = tmp;
-        sw.loc = loc;
         d_->netlist.net(tmp).condDrivers++;
-        d_->netlist.addNode(std::move(sw));
+        d_->netlist.addNode(NodeOp::Switch,
+                            {flats[ai][j].guard, flats[ai][j].net}, tmp, loc);
       }
       RBit r;
       r.net = tmp;
@@ -1528,12 +1514,8 @@ std::optional<RVal> Impl::evalCall(Ctx& ctx, const Expr& e) {
       return std::nullopt;
     }
     NetId n = freshNet("$random", BasicKind::Boolean, e.loc);
-    Node node;
-    node.op = NodeOp::Random;
-    node.output = n;
-    node.loc = e.loc;
     d_->netlist.net(n).uncondDrivers++;
-    d_->netlist.addNode(std::move(node));
+    d_->netlist.addNode(NodeOp::Random, {}, n, e.loc);
     RVal out;
     RBit b;
     b.net = n;
@@ -1598,21 +1580,20 @@ std::optional<RVal> Impl::evalCall(Ctx& ctx, const Expr& e) {
         out.bits.push_back(r);
         return out;
       }
-      Node node;
-      node.op = NodeOp::Equal;
-      for (const RBit& b : args[0].bits) node.inputs.push_back(rbitNet(b));
-      for (const RBit& b : args[1].bits) node.inputs.push_back(rbitNet(b));
+      // rbitNet may add a Const node: gather before adding the EQUAL.
+      std::vector<NetId> ins;
+      for (const RBit& b : args[0].bits) ins.push_back(rbitNet(b));
+      for (const RBit& b : args[1].bits) ins.push_back(rbitNet(b));
       NetId n = freshNet("$equal", BasicKind::Boolean, e.loc);
-      node.output = n;
-      node.loc = e.loc;
       d_->netlist.net(n).uncondDrivers++;
-      d_->netlist.addNode(std::move(node));
+      d_->netlist.addNode(NodeOp::Equal, ins, n, e.loc);
       RBit r;
       r.net = n;
       out.bits.push_back(r);
       return out;
     }
     // Bit-wise gate over m bits.
+    std::vector<NetId> ins;
     for (size_t j = 0; j < m; ++j) {
       bool allConst = true;
       std::vector<Logic> cvals;
@@ -1627,14 +1608,11 @@ std::optional<RVal> Impl::evalCall(Ctx& ctx, const Expr& e) {
         out.bits.push_back(r);
         continue;
       }
-      Node node;
-      node.op = gateOp;
-      for (const RVal& a : args) node.inputs.push_back(rbitNet(a.bits[j]));
+      ins.clear();
+      for (const RVal& a : args) ins.push_back(rbitNet(a.bits[j]));
       NetId n = freshNet("$g", BasicKind::Boolean, e.loc);
-      node.output = n;
-      node.loc = e.loc;
       d_->netlist.net(n).uncondDrivers++;
-      d_->netlist.addNode(std::move(node));
+      d_->netlist.addNode(gateOp, ins, n, e.loc);
       RBit r;
       r.net = n;
       out.bits.push_back(r);
@@ -1924,6 +1902,7 @@ void Impl::assignBit(const LBit& l, const RBit& r, NetId stmtGuard,
   Net& rn = d_->netlist.net(root);
 
   if (guard == kNoNet) {
+    // x := NOINFL on a boolean is replaced by x := UNDEF (§4.1).
     Logic constVal = (l.kind == BasicKind::Boolean && r.cval == Logic::NoInfl)
                          ? Logic::Undef
                          : r.cval;
@@ -1936,7 +1915,8 @@ void Impl::assignBit(const LBit& l, const RBit& r, NetId stmtGuard,
         if (r.isConst && dn.op == NodeOp::Const && dn.constVal == constVal)
           return;
         if (!r.isConst && dn.op == NodeOp::Buf &&
-            d_->netlist.find(dn.inputs[0]) == d_->netlist.find(r.net))
+            d_->netlist.find(d_->netlist.inputs(di)[0]) ==
+                d_->netlist.find(r.net))
           return;
       }
       error(Diag::MultipleUnconditionalAssignment, loc,
@@ -1967,20 +1947,11 @@ void Impl::assignBit(const LBit& l, const RBit& r, NetId stmtGuard,
             "use '==' instead");
       return;
     }
-    Node n;
-    n.loc = loc;
-    n.output = l.net;
     if (r.isConst) {
-      n.op = NodeOp::Const;
-      // x := NOINFL on a boolean is replaced by x := UNDEF (§4.1).
-      n.constVal = (l.kind == BasicKind::Boolean && r.cval == Logic::NoInfl)
-                       ? Logic::Undef
-                       : r.cval;
+      d_->netlist.addNode(NodeOp::Const, {}, l.net, loc, constVal);
     } else {
-      n.op = NodeOp::Buf;
-      n.inputs = {r.net};
+      d_->netlist.addNode(NodeOp::Buf, {r.net}, l.net, loc);
     }
-    d_->netlist.addNode(std::move(n));
     rn.uncondDrivers++;
     logAssign(root);
     return;
@@ -2005,12 +1976,7 @@ void Impl::assignBit(const LBit& l, const RBit& r, NetId stmtGuard,
   // constNet may add a net and reallocate the nets vector, invalidating
   // rn — resolve it before touching the reference again.
   NetId value = r.isConst ? constNet(r.cval) : r.net;
-  Node n;
-  n.loc = loc;
-  n.op = NodeOp::Switch;
-  n.inputs = {guard, value};
-  n.output = l.net;
-  d_->netlist.addNode(std::move(n));
+  d_->netlist.addNode(NodeOp::Switch, {guard, value}, l.net, loc);
   d_->netlist.net(root).condDrivers++;
   logAssign(root);
 }
@@ -2068,12 +2034,8 @@ NetId Impl::constNet(Logic v) {
                               v == Logic::NoInfl ? BasicKind::Multiplex
                                                  : BasicKind::Boolean,
                               {});
-    Node n;
-    n.op = NodeOp::Const;
-    n.constVal = v;
-    n.output = slot;
     d_->netlist.net(slot).uncondDrivers++;
-    d_->netlist.addNode(std::move(n));
+    d_->netlist.addNode(NodeOp::Const, {}, slot, {}, v);
   }
   return slot;
 }
@@ -2093,25 +2055,15 @@ NetId Impl::freshNet(const char* tag, BasicKind kind, SourceLoc loc) {
 
 NetId Impl::gate1(NodeOp op, NetId a, SourceLoc loc) {
   NetId out = freshNet("$g", BasicKind::Boolean, loc);
-  Node n;
-  n.op = op;
-  n.inputs = {a};
-  n.output = out;
-  n.loc = loc;
   d_->netlist.net(out).uncondDrivers++;
-  d_->netlist.addNode(std::move(n));
+  d_->netlist.addNode(op, {a}, out, loc);
   return out;
 }
 
 NetId Impl::gate2(NodeOp op, NetId a, NetId b, SourceLoc loc) {
   NetId out = freshNet("$g", BasicKind::Boolean, loc);
-  Node n;
-  n.op = op;
-  n.inputs = {a, b};
-  n.output = out;
-  n.loc = loc;
   d_->netlist.net(out).uncondDrivers++;
-  d_->netlist.addNode(std::move(n));
+  d_->netlist.addNode(op, {a, b}, out, loc);
   return out;
 }
 
@@ -2123,17 +2075,14 @@ NetId Impl::andGuard(NetId a, NetId b, SourceLoc loc) {
 
 NetId Impl::equalConst(const std::vector<NetId>& addr, int64_t value,
                        SourceLoc loc) {
-  Node n;
-  n.op = NodeOp::Equal;
-  for (NetId a : addr) n.inputs.push_back(a);
+  // constNet may add a Const node: gather before adding the EQUAL.
+  std::vector<NetId> ins(addr);
   for (size_t i = 0; i < addr.size(); ++i) {
-    n.inputs.push_back(constNet(logicFromBool((value >> i) & 1)));
+    ins.push_back(constNet(logicFromBool((value >> i) & 1)));
   }
   NetId out = freshNet("$addr", BasicKind::Boolean, loc);
-  n.output = out;
-  n.loc = loc;
   d_->netlist.net(out).uncondDrivers++;
-  d_->netlist.addNode(std::move(n));
+  d_->netlist.addNode(NodeOp::Equal, ins, out, loc);
   return out;
 }
 

@@ -28,23 +28,32 @@ NetId Netlist::addNet(std::string name, BasicKind kind, SourceLoc loc) {
   n.name = std::move(name);
   n.kind = kind;
   n.loc = loc;
-  nameIndex_.emplace(n.name, id);  // first net with a name wins
   nets_.push_back(std::move(n));
   parent_.push_back(id);
   drivers_.emplace_back();
   return id;
 }
 
-NetId Netlist::findByName(const std::string& name) const {
-  auto it = nameIndex_.find(name);
-  return it == nameIndex_.end() ? kNoNet : it->second;
+NetId Netlist::findByName(std::string_view name) const {
+  for (NetId i = 0; i < nets_.size(); ++i) {
+    if (nets_[i].name == name) return i;
+  }
+  return kNoNet;
 }
 
-NodeId Netlist::addNode(Node n) {
+NodeId Netlist::addNode(NodeOp op, std::span<const NetId> inputs,
+                        NetId output, SourceLoc loc, Logic constVal) {
   NodeId id = static_cast<NodeId>(nodes_.size());
-  if (n.output != kNoNet) drivers_[find(n.output)].push_back(id);
-  nodes_.push_back(std::move(n));
+  if (output != kNoNet) drivers_[find(output)].push_back(id);
+  nodes_.push_back({op, constVal, output,
+                    static_cast<uint32_t>(inputPool_.size()),
+                    static_cast<uint32_t>(inputs.size()), loc});
+  inputPool_.insert(inputPool_.end(), inputs.begin(), inputs.end());
   return id;
+}
+
+void Netlist::foldToConst(NodeId id, Logic v) {
+  nodes_[id] = {NodeOp::Const, v, nodes_[id].output, 0, 0, nodes_[id].loc};
 }
 
 NetId Netlist::find(NetId id) const {
@@ -85,8 +94,8 @@ NetId Netlist::unite(NetId a, NetId b) {
 }
 
 void Netlist::canonicalise() {
+  for (NetId& in : inputPool_) in = find(in);
   for (Node& n : nodes_) {
-    for (NetId& in : n.inputs) in = find(in);
     if (n.output != kNoNet) n.output = find(n.output);
   }
   for (auto& d : drivers_) d.clear();
@@ -98,12 +107,19 @@ void Netlist::canonicalise() {
 void Netlist::removeNodes(const std::vector<char>& keep) {
   assert(keep.size() == nodes_.size());
   size_t out = 0;
+  uint32_t pooled = 0;
   for (NodeId i = 0; i < nodes_.size(); ++i) {
     if (!keep[i]) continue;
-    if (out != i) nodes_[out] = std::move(nodes_[i]);
-    ++out;
+    Node& n = nodes_[i];  // its inputs only move down: pooled <= inputBegin
+    for (uint32_t k = 0; k < n.inputCount; ++k) {
+      inputPool_[pooled + k] = inputPool_[n.inputBegin + k];
+    }
+    n.inputBegin = pooled;
+    pooled += n.inputCount;
+    nodes_[out++] = n;
   }
   nodes_.resize(out);
+  inputPool_.resize(pooled);
   for (auto& d : drivers_) d.clear();
   for (NodeId i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].output != kNoNet) drivers_[find(nodes_[i].output)].push_back(i);

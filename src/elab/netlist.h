@@ -8,8 +8,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "src/sema/type_table.h"
@@ -39,11 +41,13 @@ enum class NodeOp : uint8_t {
 
 std::string_view nodeOpName(NodeOp op);
 
+/// A fixed-size record; its inputs live in the Netlist's pool (inputs()).
 struct Node {
   NodeOp op = NodeOp::Buf;
-  std::vector<NetId> inputs;
-  NetId output = kNoNet;
   Logic constVal = Logic::Undef;  ///< for Const
+  NetId output = kNoNet;
+  uint32_t inputBegin = 0;  ///< first input's position in the pool
+  uint32_t inputCount = 0;
   SourceLoc loc;
 };
 
@@ -73,20 +77,37 @@ struct Net {
 class Netlist {
  public:
   NetId addNet(std::string name, BasicKind kind, SourceLoc loc);
-  NodeId addNode(Node n);
+  /// Appends a node, copying its inputs (not from the pool) into the pool.
+  NodeId addNode(NodeOp op, std::span<const NetId> inputs, NetId output,
+                 SourceLoc loc, Logic constVal = Logic::Undef);
+  NodeId addNode(NodeOp op, std::initializer_list<NetId> inputs,
+                 NetId output, SourceLoc loc, Logic constVal = Logic::Undef) {
+    return addNode(op, {inputs.begin(), inputs.size()}, output, loc, constVal);
+  }
 
   [[nodiscard]] size_t netCount() const { return nets_.size(); }
   [[nodiscard]] size_t nodeCount() const { return nodes_.size(); }
   Net& net(NetId id) { return nets_[id]; }
   [[nodiscard]] const Net& net(NetId id) const { return nets_[id]; }
-  Node& node(NodeId id) { return nodes_[id]; }
   [[nodiscard]] const Node& node(NodeId id) const { return nodes_[id]; }
   [[nodiscard]] const std::vector<Net>& nets() const { return nets_; }
   [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
 
-  /// NetId of the first net with this name, or kNoNet.  O(1): the index
-  /// is maintained as nets are added.
-  [[nodiscard]] NetId findByName(const std::string& name) const;
+  /// The node's input nets, in order.  The span points into the pool, so
+  /// the next addNode invalidates it.
+  [[nodiscard]] std::span<const NetId> inputs(NodeId id) const {
+    const Node& n = nodes_[id];
+    return {inputPool_.data() + n.inputBegin, n.inputCount};
+  }
+  /// Every node's input range; a folded node's old range stays unused.
+  [[nodiscard]] std::span<const NetId> inputPool() const { return inputPool_; }
+
+  /// Turns a node into a Const driving v on its output (constant fold).
+  void foldToConst(NodeId id, Logic v);
+
+  /// NetId of the first net with this name, or kNoNet.  A scan in NetId
+  /// order: the callers are by-name lookups off the compile path.
+  [[nodiscard]] NetId findByName(std::string_view name) const;
 
   /// Union–find over alias classes (path compression).
   [[nodiscard]] NetId find(NetId id) const;
@@ -104,18 +125,17 @@ class Netlist {
   /// input/output to roots.  Call once after elaboration completes.
   void canonicalise();
 
-  /// Removes every node whose keep[id] is false, compacting nodes_ in
-  /// stable (insertion) order and rebuilding the driver lists.  NodeIds
-  /// change; NetIds do not.  Used by the optimizer's DCE pass.
+  /// Removes every node whose keep[id] is false, compacting nodes_ and the
+  /// pool in stable (insertion) order and rebuilding the driver lists.
+  /// NodeIds change; NetIds do not.  Used by the optimizer's DCE pass.
   void removeNodes(const std::vector<char>& keep);
 
  private:
   std::vector<Net> nets_;
   std::vector<Node> nodes_;
+  std::vector<NetId> inputPool_;
   mutable std::vector<NetId> parent_;
   std::vector<std::vector<NodeId>> drivers_;
-  /// name -> first NetId with that name (declaration order wins).
-  std::unordered_map<std::string, NetId> nameIndex_;
 };
 
 }  // namespace zeus

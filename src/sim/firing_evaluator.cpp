@@ -1,5 +1,6 @@
 #include "src/sim/firing_evaluator.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "src/sim/stimulus.h"
@@ -18,13 +19,8 @@ FiringEvaluator::FiringEvaluator(const SimGraph& graph) : g_(graph) {
   nodeZeros_.assign(nl.nodeCount(), 0);
   nodeOnes_.assign(nl.nodeCount(), 0);
   nodeUndef_.assign(nl.nodeCount(), 0);
-  inputStart_.assign(nl.nodeCount() + 1, 0);
-  for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
-    inputStart_[ni + 1] =
-        inputStart_[ni] + static_cast<uint32_t>(nl.node(ni).inputs.size());
-  }
-  inputVal_.assign(inputStart_.back(), Logic::Undef);
-  inputKnown_.assign(inputStart_.back(), 0);
+  inputVal_.assign(nl.inputPool().size(), Logic::Undef);
+  inputKnown_.assign(nl.inputPool().size(), 0);
   for (size_t i = 0; i < g_.denseCount; ++i) {
     if (g_.nets[i].isInput) inputNets_.push_back(static_cast<uint32_t>(i));
     if (g_.nets[i].nonRegDrivers == 0)
@@ -50,9 +46,8 @@ void FiringEvaluator::touchNode(NodeId node) {
   nodeZeros_[node] = 0;
   nodeOnes_[node] = 0;
   nodeUndef_[node] = 0;
-  for (uint32_t s = inputStart_[node]; s < inputStart_[node + 1]; ++s) {
-    inputKnown_[s] = 0;
-  }
+  const Node& n = g_.design->netlist.node(node);
+  std::fill_n(inputKnown_.begin() + n.inputBegin, n.inputCount, 0);
 }
 
 void FiringEvaluator::contribute(uint32_t net, Logic v) {
@@ -106,7 +101,7 @@ void FiringEvaluator::evaluate(const CycleSeeds& seeds, CycleResult& out) {
   // evaluator is wedged — abort the cycle instead of hanging.
   uint64_t eventBudget = seeds.eventBudget
                              ? seeds.eventBudget
-                             : 4 * static_cast<uint64_t>(inputStart_.back()) +
+                             : 4 * static_cast<uint64_t>(g_.consumers.size()) +
                                    g_.denseCount + 64;
   uint64_t events = 0;
 
@@ -170,7 +165,7 @@ void FiringEvaluator::evaluate(const CycleSeeds& seeds, CycleResult& out) {
       ++stats_.inputEvents;
 
       touchNode(ni);
-      uint32_t slot = inputStart_[ni] + idx;
+      uint32_t slot = node.inputBegin + idx;
       if (!inputKnown_[slot]) {
         inputKnown_[slot] = 1;
         inputVal_[slot] = v;
@@ -187,7 +182,7 @@ void FiringEvaluator::evaluate(const CycleSeeds& seeds, CycleResult& out) {
         continue;
       }
 
-      uint32_t total = static_cast<uint32_t>(node.inputs.size());
+      uint32_t total = node.inputCount;
       Logic outV = Logic::Undef;
       bool fire = false;
       switch (node.op) {
@@ -229,7 +224,7 @@ void FiringEvaluator::evaluate(const CycleSeeds& seeds, CycleResult& out) {
         }
         case NodeOp::Equal: {
           uint32_t m = total / 2;
-          uint32_t base = inputStart_[ni];
+          uint32_t base = node.inputBegin;
           // Short-circuit on a known mismatching pair.
           uint32_t partner = idx < m ? idx + m : idx - m;
           if (inputKnown_[base + partner]) {
@@ -251,7 +246,7 @@ void FiringEvaluator::evaluate(const CycleSeeds& seeds, CycleResult& out) {
           break;
         }
         case NodeOp::Switch: {
-          uint32_t base = inputStart_[ni];
+          uint32_t base = node.inputBegin;
           if (!inputKnown_[base]) break;  // condition still unknown
           Logic c = gateInput(inputVal_[base]);
           if (c == Logic::Zero) {

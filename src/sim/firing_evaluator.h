@@ -117,8 +117,7 @@ class FiringEvaluator {
   std::vector<uint32_t> nodeZeros_;
   std::vector<uint32_t> nodeOnes_;
   std::vector<char> nodeUndef_;  ///< saw an UNDEF/NOINFL input
-  // Per-node input storage (CSR) for EQUAL and SWITCH.
-  std::vector<uint32_t> inputStart_;
+  // Per-input storage for EQUAL and SWITCH, at netlist pool positions.
   std::vector<Logic> inputVal_;
   std::vector<char> inputKnown_;
   std::vector<uint32_t> inputNets_;      ///< dense nets with isInput

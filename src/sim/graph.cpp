@@ -28,7 +28,7 @@ SimGraph levelizeGraph(const Design& design, DiagnosticEngine& diags) {
   for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
     const Node& node = nl.node(ni);
     if (node.output != kNoNet) referenced[nl.find(node.output)] = 1;
-    for (NetId in : node.inputs) referenced[nl.find(in)] = 1;
+    for (NetId in : nl.inputs(ni)) referenced[nl.find(in)] = 1;
   }
   for (const Port& p : design.ports) {
     for (NetId n : p.nets) referenced[nl.find(n)] = 1;
@@ -79,49 +79,44 @@ SimGraph levelizeGraph(const Design& design, DiagnosticEngine& diags) {
     }
   }
 
-  // Driver counts, consumer and driver edges.
-  std::vector<std::vector<std::pair<NodeId, uint32_t>>> consumerLists(
-      g.denseCount);
-  std::vector<std::vector<NodeId>> driverLists(g.denseCount);
+  // Driver counts, then the CSR edges: counted per net, filled in node order.
+  g.consumerStart.assign(g.denseCount + 1, 0);
+  g.driverStart.assign(g.denseCount + 1, 0);
   for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
     const Node& node = nl.node(ni);
     if (node.output != kNoNet) {
-      SimGraph::NetInfo& info = g.nets[g.denseOf[node.output]];
-      if (node.op == NodeOp::Reg) info.regDriven = true;
-      else info.nonRegDrivers++;
-      driverLists[g.denseOf[node.output]].push_back(ni);
+      const uint32_t on = g.denseOf[node.output];
+      if (node.op == NodeOp::Reg) g.nets[on].regDriven = true;
+      else g.nets[on].nonRegDrivers++;
+      ++g.driverStart[on + 1];
     }
-    for (uint32_t ii = 0; ii < node.inputs.size(); ++ii) {
-      consumerLists[g.denseOf[node.inputs[ii]]].push_back({ni, ii});
-    }
+    for (NetId in : nl.inputs(ni)) ++g.consumerStart[g.denseOf[in] + 1];
     if (node.op == NodeOp::Reg) g.regNodes.push_back(ni);
-    else if (node.inputs.empty()) g.sourceNodes.push_back(ni);
+    else if (nl.inputs(ni).empty()) g.sourceNodes.push_back(ni);
   }
-  g.consumerStart.assign(g.denseCount + 1, 0);
-  g.driverStart.assign(g.denseCount + 1, 0);
   for (size_t i = 0; i < g.denseCount; ++i) {
-    g.consumerStart[i + 1] =
-        g.consumerStart[i] + static_cast<uint32_t>(consumerLists[i].size());
-    g.driverStart[i + 1] =
-        g.driverStart[i] + static_cast<uint32_t>(driverLists[i].size());
+    g.nets[i].multiDriven =
+        g.driverStart[i + 1] + (g.nets[i].isInput ? 1 : 0) > 1;
+    g.consumerStart[i + 1] += g.consumerStart[i];
+    g.driverStart[i + 1] += g.driverStart[i];
   }
   g.consumers.resize(g.consumerStart.back());
   g.consumerInputIdx.resize(g.consumerStart.back());
   g.driverNodes.resize(g.driverStart.back());
-  for (size_t i = 0; i < g.denseCount; ++i) {
-    uint32_t base = g.consumerStart[i];
-    for (size_t k = 0; k < consumerLists[i].size(); ++k) {
-      g.consumers[base + k] = consumerLists[i][k].first;
-      g.consumerInputIdx[base + k] = consumerLists[i][k].second;
+  std::vector<uint32_t> consumerAt(g.consumerStart), driverAt(g.driverStart);
+  for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
+    const NetId out = nl.node(ni).output;
+    if (out != kNoNet) g.driverNodes[driverAt[g.denseOf[out]]++] = ni;
+    const std::span<const NetId> ins = nl.inputs(ni);
+    for (uint32_t ii = 0; ii < ins.size(); ++ii) {
+      const uint32_t e = consumerAt[g.denseOf[ins[ii]]]++;
+      g.consumers[e] = ni;
+      g.consumerInputIdx[e] = ii;
     }
-    std::copy(driverLists[i].begin(), driverLists[i].end(),
-              g.driverNodes.begin() + g.driverStart[i]);
-    g.nets[i].multiDriven =
-        driverLists[i].size() + (g.nets[i].isInput ? 1 : 0) > 1;
   }
   g.regInput.resize(g.regNodes.size());
   for (size_t k = 0; k < g.regNodes.size(); ++k) {
-    g.regInput[k] = g.denseOf[nl.node(g.regNodes[k]).inputs[0]];
+    g.regInput[k] = g.denseOf[nl.inputs(g.regNodes[k])[0]];
   }
 
   // Topological sort (Kahn) over non-REG nodes, recording the levelized
@@ -129,11 +124,9 @@ SimGraph levelizeGraph(const Design& design, DiagnosticEngine& diags) {
   g.netLevel.assign(g.denseCount, 0);
   g.schedule.reserve(nl.nodeCount() - g.regNodes.size() + g.denseCount);
   std::vector<uint32_t> netPending(g.denseCount);
-  std::vector<uint32_t> nodePending(nl.nodeCount(), 0);
+  std::vector<uint32_t> nodePending(nl.nodeCount());  // unread for REGs
   for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
-    const Node& node = nl.node(ni);
-    if (node.op == NodeOp::Reg) continue;
-    nodePending[ni] = static_cast<uint32_t>(node.inputs.size());
+    nodePending[ni] = static_cast<uint32_t>(nl.inputs(ni).size());
   }
   size_t processedNodes = 0;
   const size_t nonRegNodes = nl.nodeCount() - g.regNodes.size();

@@ -260,7 +260,7 @@ void lowerTape(SimGraph& g) {
       if (node.op == NodeOp::Const) {
         t.args.push_back(static_cast<uint32_t>(node.constVal));
       }
-      for (NetId in : node.inputs) t.args.push_back(g.denseOf[in]);
+      for (NetId in : nl.inputs(st.index)) t.args.push_back(g.denseOf[in]);
       emit(opOf(node.op, hasOutput && g.nets[g.denseOf[node.output]].isBool),
            hasOutput ? slotOf[st.index] : static_cast<uint32_t>(slots++));
       continue;

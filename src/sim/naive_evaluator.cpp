@@ -96,7 +96,7 @@ void NaiveEvaluator::evaluate(const CycleSeeds& seeds, CycleResult& out) {
       }
       ++stats_.nodeFirings;
       scratch.clear();
-      for (NetId in : node.inputs) scratch.push_back(netVal_[g_.denseOf[in]]);
+      for (NetId in : nl.inputs(ni)) scratch.push_back(netVal_[g_.denseOf[in]]);
       Logic v = Logic::Undef;
       switch (node.op) {
         case NodeOp::Buf:

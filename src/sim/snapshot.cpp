@@ -288,12 +288,13 @@ uint64_t designContentHash(const Design& design) {
     fnv(h, static_cast<uint64_t>(net.kind));
   }
   fnv(h, nl.nodeCount());
-  for (const Node& node : nl.nodes()) {
+  for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
+    const Node& node = nl.node(ni);
     fnv(h, static_cast<uint64_t>(node.op));
     fnv(h, static_cast<uint64_t>(node.constVal));
     fnv(h, node.output);
-    fnv(h, node.inputs.size());
-    for (NetId in : node.inputs) fnv(h, in);
+    fnv(h, nl.inputs(ni).size());
+    for (NetId in : nl.inputs(ni)) fnv(h, in);
   }
   // Optimized designs use different dense-net numbering, so a checkpoint
   // written at one -O level must never restore at another: fold the pass

@@ -84,7 +84,7 @@ void FoldOracle::fold() {
         nodeAlways[ni] = 1;
         break;
       case NodeOp::Buf: {
-        uint32_t in = g.dense(node.inputs[0]);
+        uint32_t in = g.dense(nl.inputs(ni)[0]);
         bool outBool = g.nets[g.dense(node.output)].isBool;
         if (netConst[in] != kUnknown) {
           Logic c = static_cast<Logic>(netConst[in]);
@@ -104,13 +104,13 @@ void FoldOracle::fold() {
         // into AND) fixes the output even with unknown co-inputs.
         nodeAlways[ni] = 1;  // gates output 0/1/UNDEF, never NOINFL
         GateCounters c;
-        for (NetId in : node.inputs) {
+        for (NetId in : nl.inputs(ni)) {
           int8_t v = netConst[g.dense(in)];
           if (v != kUnknown) c.add(static_cast<Logic>(v));
         }
         Logic out;
         if (gateCanFire(node.op, c,
-                        static_cast<uint32_t>(node.inputs.size()), out)) {
+                        static_cast<uint32_t>(nl.inputs(ni).size()), out)) {
           nodeConst[ni] = known(out);
         }
         break;
@@ -120,7 +120,7 @@ void FoldOracle::fold() {
         nodeAlways[ni] = 1;
         vals.clear();
         bool all = true;
-        for (NetId in : node.inputs) {
+        for (NetId in : nl.inputs(ni)) {
           int8_t c = netConst[g.dense(in)];
           if (c == kUnknown) { all = false; break; }
           vals.push_back(static_cast<Logic>(c));
@@ -132,7 +132,7 @@ void FoldOracle::fold() {
         nodeAlways[ni] = 1;
         vals.clear();
         bool all = true;
-        for (NetId in : node.inputs) {
+        for (NetId in : nl.inputs(ni)) {
           int8_t c = netConst[g.dense(in)];
           if (c == kUnknown) { all = false; break; }
           vals.push_back(static_cast<Logic>(c));
@@ -145,8 +145,8 @@ void FoldOracle::fold() {
         break;
       }
       case NodeOp::Switch: {
-        uint32_t guard = g.dense(node.inputs[0]);
-        uint32_t data = g.dense(node.inputs[1]);
+        uint32_t guard = g.dense(nl.inputs(ni)[0]);
+        uint32_t data = g.dense(nl.inputs(ni)[1]);
         int8_t gc = netConst[guard];
         if (gc == known(Logic::Zero)) {
           nodeConst[ni] = known(Logic::NoInfl);  // branch never enabled
@@ -187,7 +187,7 @@ void FoldOracle::computeLiveness() {
     uint32_t dn = work.back();
     work.pop_back();
     for (uint32_t e = g.driverStart[dn]; e < g.driverStart[dn + 1]; ++e) {
-      for (NetId in : nl.node(g.driverNodes[e]).inputs) {
+      for (NetId in : nl.inputs(g.driverNodes[e])) {
         mark(g.dense(in));
       }
     }

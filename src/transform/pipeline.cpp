@@ -36,12 +36,9 @@ uint64_t runConstFold(Design& design, const SimGraph& g) {
   Netlist& nl = design.netlist;
   uint64_t folded = 0;
   for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
-    Node& node = nl.node(ni);
-    if (!FoldOracle::foldable(node.op)) continue;
+    if (!FoldOracle::foldable(nl.node(ni).op)) continue;
     if (oracle.nodeConst[ni] == FoldOracle::kUnknown) continue;
-    node.op = NodeOp::Const;
-    node.constVal = static_cast<Logic>(oracle.nodeConst[ni]);
-    node.inputs.clear();
+    nl.foldToConst(ni, static_cast<Logic>(oracle.nodeConst[ni]));
     ++folded;
   }
   return folded;
@@ -101,7 +98,7 @@ uint64_t runDce(Design& design, const SimGraph& g) {
       NodeId d = g.driverNodes[e];
       if (keepNode[d]) continue;
       keepNode[d] = 1;
-      for (NetId in : nl.node(d).inputs) mark(g.dense(in));
+      for (NetId in : nl.inputs(d)) mark(g.dense(in));
     }
   }
   uint64_t removed = 0;
@@ -151,9 +148,10 @@ uint64_t runAliasCollapse(Design& design) {
   }
 
   std::vector<char> referenced(nl.netCount(), 0);
-  for (const Node& node : nl.nodes()) {
-    if (node.output != kNoNet) referenced[nl.find(node.output)] = 1;
-    for (NetId in : node.inputs) referenced[nl.find(in)] = 1;
+  for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
+    const NetId out = nl.node(ni).output;
+    if (out != kNoNet) referenced[nl.find(out)] = 1;
+    for (NetId in : nl.inputs(ni)) referenced[nl.find(in)] = 1;
   }
   for (const Port& p : design.ports) {
     for (NetId n : p.nets) referenced[nl.find(n)] = 1;

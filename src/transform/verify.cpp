@@ -13,6 +13,22 @@ std::string at(const char* what, size_t i) {
   return std::string(what) + " " + std::to_string(i);
 }
 
+/// Whether have(0..n) and want(0..n) hold the same edges in any order,
+/// sorting only from the first mismatch on.
+template <typename Have, typename Want>
+bool sameEdges(size_t n, Have have, Want want) {
+  size_t k = 0;
+  while (k < n && have(k) == want(k)) ++k;
+  std::vector<decltype(have(k))> a, b;
+  for (; k < n; ++k) {
+    a.push_back(have(k));
+    b.push_back(want(k));
+  }
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  return a == b;
+}
+
 }  // namespace
 
 std::string verifyGraph(const Design& design, const SimGraph& g) {
@@ -44,7 +60,7 @@ std::string verifyGraph(const Design& design, const SimGraph& g) {
   for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
     const Node& node = nl.node(ni);
     if (node.output != kNoNet) referenced[nl.find(node.output)] = 1;
-    for (NetId in : node.inputs) referenced[nl.find(in)] = 1;
+    for (NetId in : nl.inputs(ni)) referenced[nl.find(in)] = 1;
   }
   for (const Port& p : design.ports) {
     for (NetId n : p.nets) referenced[nl.find(n)] = 1;
@@ -70,9 +86,9 @@ std::string verifyGraph(const Design& design, const SimGraph& g) {
   if (g.driverStart[0] != 0 || g.consumerStart[0] != 0) {
     return "CSR start arrays not zero-based";
   }
-  std::vector<std::vector<NodeId>> wantDrivers(g.denseCount);
-  std::vector<std::vector<std::pair<NodeId, uint32_t>>> wantConsumers(
-      g.denseCount);
+  // The expected edges, counted per net and then filled in node order.
+  std::vector<uint32_t> driverStart(g.denseCount + 1, 0);
+  std::vector<uint32_t> consumerStart(g.denseCount + 1, 0);
   std::vector<SimGraph::NetInfo> want(g.denseCount);
   for (NetId i = 0; i < nl.netCount(); ++i) {
     const Net& n = nl.net(i);
@@ -86,48 +102,62 @@ std::string verifyGraph(const Design& design, const SimGraph& g) {
     if (node.output != kNoNet) {
       uint32_t dn = g.denseOf[node.output];
       if (dn == SimGraph::kNoDense) return at("node output slotless: node", ni);
-      wantDrivers[dn].push_back(ni);
+      ++driverStart[dn + 1];
       if (node.op == NodeOp::Reg) want[dn].regDriven = true;
       else want[dn].nonRegDrivers++;
     }
-    for (uint32_t ii = 0; ii < node.inputs.size(); ++ii) {
-      uint32_t dn = g.denseOf[node.inputs[ii]];
+    for (NetId in : nl.inputs(ni)) {
+      uint32_t dn = g.denseOf[in];
       if (dn == SimGraph::kNoDense) return at("node input slotless: node", ni);
-      wantConsumers[dn].push_back({ni, ii});
+      ++consumerStart[dn + 1];
     }
   }
   for (uint32_t dn = 0; dn < g.denseCount; ++dn) {
     want[dn].multiDriven =
-        wantDrivers[dn].size() + (want[dn].isInput ? 1 : 0) > 1;
+        driverStart[dn + 1] + (want[dn].isInput ? 1 : 0) > 1;
+    driverStart[dn + 1] += driverStart[dn];
+    consumerStart[dn + 1] += consumerStart[dn];
+  }
+  std::vector<NodeId> wantDrivers(driverStart.back());
+  std::vector<std::pair<NodeId, uint32_t>> wantConsumers(consumerStart.back());
+  std::vector<uint32_t> driverAt(driverStart), consumerAt(consumerStart);
+  for (NodeId ni = 0; ni < nl.nodeCount(); ++ni) {
+    const NetId out = nl.node(ni).output;
+    if (out != kNoNet) wantDrivers[driverAt[g.denseOf[out]]++] = ni;
+    const std::span<const NetId> ins = nl.inputs(ni);
+    for (uint32_t ii = 0; ii < ins.size(); ++ii) {
+      wantConsumers[consumerAt[g.denseOf[ins[ii]]]++] = {ni, ii};
+    }
+  }
+  for (uint32_t dn = 0; dn < g.denseCount; ++dn) {
     uint32_t ds = g.driverStart[dn], de = g.driverStart[dn + 1];
     if (de < ds || de > g.driverNodes.size()) {
       return at("driver CSR range malformed at", dn);
     }
-    if (de - ds != wantDrivers[dn].size()) {
+    if (de - ds != driverStart[dn + 1] - driverStart[dn]) {
       return at("driver count mismatch at", dn);
     }
-    std::vector<NodeId> have(g.driverNodes.begin() + ds,
-                             g.driverNodes.begin() + de);
-    std::sort(have.begin(), have.end());
-    std::vector<NodeId> exp = wantDrivers[dn];
-    std::sort(exp.begin(), exp.end());
-    if (have != exp) return at("driver set mismatch at", dn);
+    const uint32_t ws = driverStart[dn];
+    if (!sameEdges(de - ds, [&](size_t k) { return g.driverNodes[ds + k]; },
+                   [&](size_t k) { return wantDrivers[ws + k]; })) {
+      return at("driver set mismatch at", dn);
+    }
 
     uint32_t cs = g.consumerStart[dn], ce = g.consumerStart[dn + 1];
     if (ce < cs || ce > g.consumers.size()) {
       return at("consumer CSR range malformed at", dn);
     }
-    if (ce - cs != wantConsumers[dn].size()) {
+    if (ce - cs != consumerStart[dn + 1] - consumerStart[dn]) {
       return at("consumer count mismatch at", dn);
     }
-    std::vector<std::pair<NodeId, uint32_t>> haveC;
-    for (uint32_t e = cs; e < ce; ++e) {
-      haveC.push_back({g.consumers[e], g.consumerInputIdx[e]});
+    const uint32_t wc = consumerStart[dn];
+    auto have = [&](size_t k) {
+      return std::pair{g.consumers[cs + k], g.consumerInputIdx[cs + k]};
+    };
+    if (!sameEdges(ce - cs, have,
+                   [&](size_t k) { return wantConsumers[wc + k]; })) {
+      return at("consumer set mismatch at", dn);
     }
-    std::sort(haveC.begin(), haveC.end());
-    std::vector<std::pair<NodeId, uint32_t>> expC = wantConsumers[dn];
-    std::sort(expC.begin(), expC.end());
-    if (haveC != expC) return at("consumer set mismatch at", dn);
 
     const SimGraph::NetInfo& info = g.nets[dn];
     if (info.nonRegDrivers != want[dn].nonRegDrivers) {
@@ -159,8 +189,7 @@ std::string verifyGraph(const Design& design, const SimGraph& g) {
   NodeId prevSource = 0;
   bool firstSource = true;
   for (NodeId ni : g.sourceNodes) {
-    const Node& node = nl.node(ni);
-    if (node.op == NodeOp::Reg || !node.inputs.empty()) {
+    if (nl.node(ni).op == NodeOp::Reg || !nl.inputs(ni).empty()) {
       return at("sourceNodes holds a non-source node:", ni);
     }
     // The RANDOM stream contract: evaluators draw per-cycle randomness in
@@ -176,7 +205,7 @@ std::string verifyGraph(const Design& design, const SimGraph& g) {
   }
   for (size_t k = 0; k < g.regNodes.size(); ++k) {
     const NodeId ni = g.regNodes[k];
-    if (g.regInput[k] != g.denseOf[nl.node(ni).inputs[0]]) {
+    if (g.regInput[k] != g.denseOf[nl.inputs(ni)[0]]) {
       return at("regInput stale at REG node", ni);
     }
   }
@@ -231,7 +260,7 @@ std::string verifyGraph(const Design& design, const SimGraph& g) {
     if (node.op == NodeOp::Reg) continue;
     // A node is evaluated after its input nets are resolved, and a net is
     // resolved after its non-REG drivers are evaluated.
-    for (NetId in : node.inputs) {
+    for (NetId in : nl.inputs(ni)) {
       if (netPos[g.denseOf[in]] > nodePos[ni]) {
         return at("schedule evaluates a node before its input net: node",
                   ni);
@@ -242,7 +271,7 @@ std::string verifyGraph(const Design& design, const SimGraph& g) {
     if (nodePos[ni] > netPos[on]) {
       return at("schedule resolves a net before its driver: node", ni);
     }
-    for (NetId in : node.inputs) {
+    for (NetId in : nl.inputs(ni)) {
       if (g.netLevel[on] < g.netLevel[g.denseOf[in]] + 1) {
         return at("netLevel not monotone across node", ni);
       }

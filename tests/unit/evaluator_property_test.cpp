@@ -13,7 +13,10 @@
 // what the kernel's tape fuses and resolves: multiplexes without an ELSE
 // (NOINFL into IF switches, buffers, gates and REG inputs), two IFs
 // driving one multiplex (real contention), RANDOM, buffer chains
-// through non-boolean nets, and constants.
+// through non-boolean nets, and constants.  One lane's Firing and
+// Levelized simulators are also checkpointed after a random cycle, and
+// fresh simulators of the other kind resume from the serialized bytes:
+// they must finish the run exactly as the uninterrupted ones do.
 //
 // The generator builds legal programs by construction: locals are only
 // defined from already-available signals, so no combinational loops occur;
@@ -25,6 +28,7 @@
 #include <sstream>
 #include <tuple>
 
+#include "src/sim/snapshot.h"
 #include "tests/support/test_util.h"
 
 namespace zeus::test {
@@ -246,6 +250,21 @@ TEST_P(LevelizedEquivalence, LevelizedMatchesFiring) {
     for (int i = 0; i < prog.numInputs; ++i) {
       inputs.push_back(g.port("i" + std::to_string(i)));
     }
+    // Lane rl is checkpointed after cycle `cut`; resumed[0] is a fresh
+    // Levelized simulator restored from Firing's snapshot, resumed[1] a
+    // fresh Firing one restored from Levelized's.
+    const size_t rl = seed % kLanes;
+    const int cut = static_cast<int>(seed % (kCycles - 1));
+    std::vector<Simulation> resumed;
+    auto resume = [&](const Simulation& from, EvaluatorKind kind) {
+      const std::vector<uint8_t> bytes = snapshotToBytes(from.saveSnapshot());
+      SimSnapshot snap;
+      std::string err;
+      ASSERT_TRUE(snapshotFromBytes(bytes.data(), bytes.size(), snap, err))
+          << err;
+      resumed.emplace_back(g, kind);
+      resumed.back().restoreSnapshot(snap);
+    };
     std::mt19937_64 rng(seed ^ 0x5EED);
     for (int cyc = 0; cyc < kCycles; ++cyc) {
       for (size_t l = 0; l < kLanes; ++l) {
@@ -256,6 +275,9 @@ TEST_P(LevelizedEquivalence, LevelizedMatchesFiring) {
             firing[l].clearInput(in);
             levelized[l].clearInput(in);
             batch.clearInput(l, in);
+            if (l == rl) {
+              for (Simulation& s : resumed) s.clearInput(in);
+            }
             continue;
           }
           const Logic v = r < 3 ? Logic::Zero : r < 5 ? Logic::One
@@ -263,11 +285,15 @@ TEST_P(LevelizedEquivalence, LevelizedMatchesFiring) {
           firing[l].setInput(in, v);
           levelized[l].setInput(in, v);
           batch.setInput(l, in, v);
+          if (l == rl) {
+            for (Simulation& s : resumed) s.setInput(in, v);
+          }
         }
         firing[l].step();
         levelized[l].step();
       }
       batch.step();
+      for (Simulation& s : resumed) s.step();
 
       for (size_t d = 0; d < g.denseCount; ++d) {
         const NetId n = g.rootOf[d];
@@ -288,6 +314,27 @@ TEST_P(LevelizedEquivalence, LevelizedMatchesFiring) {
         ASSERT_EQ(firing[l].randomState(), batch.randomState(l))
             << "lane " << l << " cycle " << cyc;
       }
+      for (const Simulation& s : resumed) {
+        ASSERT_EQ(s.cycle(), firing[rl].cycle());
+        ASSERT_EQ(s.randomState(), firing[rl].randomState())
+            << "resumed, cycle " << cyc;
+        for (size_t d = 0; d < g.denseCount; ++d) {
+          const NetId n = g.rootOf[d];
+          ASSERT_EQ(s.netValue(n), firing[rl].netValue(n))
+              << "resumed, net " << b.design->netlist.net(n).name
+              << " cycle " << cyc;
+        }
+      }
+      if (cyc == cut) {
+        resume(firing[rl], EvaluatorKind::Levelized);
+        resume(levelized[rl], EvaluatorKind::Firing);
+      }
+    }
+    ASSERT_EQ(resumed.size(), 2u);
+    const auto rlane = static_cast<int32_t>(rl);
+    for (const Simulation& s : resumed) {
+      EXPECT_EQ(errorKeys(s.errors(), rlane),
+                errorKeys(firing[rl].errors(), rlane));
     }
 
     std::vector<ErrorKey> want, gotBatch = errorKeys(batch.errors(), -1);

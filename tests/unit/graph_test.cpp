@@ -55,7 +55,8 @@ SIGNAL top: t;
   // The register output is a source: level 0.
   const Node& reg = b.design->netlist.node(g.regNodes[0]);
   EXPECT_EQ(g.netLevel[g.dense(reg.output)], 0u);
-  EXPECT_GT(g.netLevel[g.dense(reg.inputs[0])], 0u);
+  EXPECT_GT(g.netLevel[g.dense(b.design->netlist.inputs(g.regNodes[0])[0])],
+            0u);
 }
 
 TEST(SimGraph, AliasClassesShareDenseIndex) {

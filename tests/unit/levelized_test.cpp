@@ -117,7 +117,7 @@ TEST(Watchdog, TrippedCycleDoesNotLatchOrCount) {
       << "aborted cycles must not latch";
 }
 
-// Satellite fix: netValueByName uses the Netlist name index.
+// netValueByName resolves names through Netlist::findByName.
 TEST(Netlist, FindByNameIndex) {
   Built b = buildOk(std::string(kAdders) + "SIGNAL adder: rippleCarry(8);\n",
                     "adder");

@@ -1,5 +1,5 @@
 // Unit tests for the netlist: alias union-find, driver accounting across
-// class merges, and canonicalisation.
+// class merges, canonicalisation, the input pool and lookup by name.
 #include <gtest/gtest.h>
 
 #include "src/elab/netlist.h"
@@ -62,17 +62,9 @@ TEST(Netlist, DriversRegisterUnderRoot) {
   NetId a = nl.addNet("a", BasicKind::Multiplex, {});
   NetId b = nl.addNet("b", BasicKind::Multiplex, {});
   NetId src = nl.addNet("s", BasicKind::Boolean, {});
-  Node n;
-  n.op = NodeOp::Switch;
-  n.inputs = {src, src};
-  n.output = a;
-  nl.addNode(n);
+  nl.addNode(NodeOp::Switch, {src, src}, a, {});
   nl.unite(a, b);
-  Node m;
-  m.op = NodeOp::Switch;
-  m.inputs = {src, src};
-  m.output = b;
-  nl.addNode(m);
+  nl.addNode(NodeOp::Switch, {src, src}, b, {});
   nl.canonicalise();
   NetId root = nl.find(a);
   EXPECT_EQ(nl.driversOf(root).size(), 2u);
@@ -86,14 +78,66 @@ TEST(Netlist, CanonicaliseRemapsInputs) {
   NetId a = nl.addNet("a", BasicKind::Multiplex, {});
   NetId b = nl.addNet("b", BasicKind::Multiplex, {});
   NetId out = nl.addNet("o", BasicKind::Boolean, {});
-  Node n;
-  n.op = NodeOp::Buf;
-  n.inputs = {b};
-  n.output = out;
-  nl.addNode(n);
+  nl.addNode(NodeOp::Buf, {b}, out, {});
   nl.unite(a, b);
   nl.canonicalise();
-  EXPECT_EQ(nl.node(0).inputs[0], nl.find(a));
+  EXPECT_EQ(nl.inputs(0)[0], nl.find(a));
+}
+
+std::vector<NetId> inputsOf(const Netlist& nl, NodeId id) {
+  const std::span<const NetId> in = nl.inputs(id);
+  return {in.begin(), in.end()};
+}
+
+// The optimizer's order: fold, then DCE, then the alias collapse.  The
+// kept nodes keep their inputs (remapped to roots), and the pool holds
+// exactly those inputs, in node order.
+TEST(Netlist, FoldRemoveCanonicaliseKeepsThePoolExact) {
+  Netlist nl;
+  NetId a = nl.addNet("a", BasicKind::Multiplex, {});
+  NetId b = nl.addNet("b", BasicKind::Multiplex, {});
+  NetId c = nl.addNet("c", BasicKind::Boolean, {});
+  NetId x = nl.addNet("x", BasicKind::Boolean, {});
+  NetId y = nl.addNet("y", BasicKind::Boolean, {});
+  NetId z = nl.addNet("z", BasicKind::Boolean, {});
+  NetId w = nl.addNet("w", BasicKind::Multiplex, {});
+  nl.addNode(NodeOp::And, {b, c}, x, {});
+  NodeId folded = nl.addNode(NodeOp::Or, {c, b, a}, y, {});
+  nl.addNode(NodeOp::Xor, {b, x}, z, {});
+  nl.addNode(NodeOp::Switch, {y, b}, w, {});
+  nl.unite(a, b);
+
+  nl.foldToConst(folded, Logic::One);
+  EXPECT_TRUE(nl.inputs(folded).empty());
+  EXPECT_EQ(nl.node(folded).op, NodeOp::Const);
+  EXPECT_EQ(nl.node(folded).constVal, Logic::One);
+  nl.removeNodes({1, 1, 0, 1});
+  nl.canonicalise();
+
+  ASSERT_EQ(nl.nodeCount(), 3u);
+  EXPECT_EQ(inputsOf(nl, 0), (std::vector<NetId>{a, c}));
+  EXPECT_TRUE(nl.inputs(1).empty());
+  EXPECT_EQ(nl.node(1).op, NodeOp::Const);
+  EXPECT_EQ(nl.node(1).output, y);
+  EXPECT_EQ(inputsOf(nl, 2), (std::vector<NetId>{y, a}));
+  EXPECT_EQ(nl.node(2).output, w);
+  const std::span<const NetId> pool = nl.inputPool();
+  EXPECT_EQ(std::vector<NetId>(pool.begin(), pool.end()),
+            (std::vector<NetId>{a, c, y, a}));
+  EXPECT_EQ(nl.driversOf(y), std::vector<NodeId>{1});
+  EXPECT_TRUE(nl.driversOf(z).empty());
+}
+
+TEST(Netlist, FindByNameReturnsTheFirstNetWithTheName) {
+  Netlist nl;
+  nl.addNet("x", BasicKind::Boolean, {});
+  NetId first = nl.addNet("dup", BasicKind::Boolean, {});
+  nl.addNet("y", BasicKind::Boolean, {});
+  NetId second = nl.addNet("dup", BasicKind::Multiplex, {});
+  ASSERT_LT(first, second);
+  EXPECT_EQ(nl.findByName("dup"), first);
+  EXPECT_EQ(nl.findByName("y"), 2u);
+  EXPECT_EQ(nl.findByName("no.such.net"), kNoNet);
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 // snapshot files.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <string>
 
 #include "src/sim/snapshot.h"
 #include "tests/support/paper_examples.h"
@@ -216,6 +219,43 @@ SimSnapshot throughBytes(const SimSnapshot& snap) {
   EXPECT_TRUE(snapshotFromBytes(bytes.data(), bytes.size(), back, err))
       << err;
   return back;
+}
+
+// The content hash of every corpus entry at -O0 and -O1, pinned: a
+// checkpoint written by an earlier build must keep restoring, so a change
+// to how the netlist stores its nets and nodes may not move these values.
+TEST(Snapshot, DesignHashIsPinnedOnTheCorpus) {
+  const std::map<std::string, std::array<uint64_t, 2>> want = {
+      {"adders", {0xa257c6c753b8fca9ull, 0x44601c5f4d4a8a3bull}},
+      {"mux4", {0xb383a67579a3eb8bull, 0x41bf6f45d7e20982ull}},
+      {"blackjack", {0xc33fdf451fabec0full, 0x8296facdb529d83bull}},
+      {"tree-iterative", {0x1e212e151610865aull, 0xcbeb344e8c53ec56ull}},
+      {"tree-recursive", {0x475d2e3fd56c6597ull, 0x625fb1ce41497da9ull}},
+      {"htree", {0x5007a0becfbeab66ull, 0x961ea2aef7ba7c89ull}},
+      {"routing", {0xad233262f89dd5e7ull, 0xb5eda50e69738f0full}},
+      {"ram", {0x7ef200791dd46316ull, 0x773a852ec50c3c19ull}},
+      {"patternmatch", {0xe474dd5cd0929767ull, 0x7bddb044b24e6eb4ull}},
+      {"am2901", {0x8c96c76ec9e1d282ull, 0xe701dcdf1b40a66dull}},
+      {"systolic-stack", {0xd7cf367797447a2eull, 0x592cb09e405478a6ull}},
+      {"dictionary", {0x2fdd4ef74a46daedull, 0xd3167627b66092b9ull}},
+      {"snake", {0x78d4d4c6e19bd735ull, 0x161a4154205f7351ull}},
+      {"sorter", {0xd07e06da64cd349dull, 0xea6ff9baeb987b71ull}},
+      {"matvec", {0x47f146cda863119full, 0x2d75995737b1e724ull}},
+      {"chessboard", {0xcdf1320ac3f9bb89ull, 0x899dcffedb83bc3aull}},
+  };
+  ASSERT_EQ(want.size(), corpus::all().size());
+  for (const corpus::CorpusEntry& e : corpus::all()) {
+    for (int level : {0, 1}) {
+      std::string top;
+      Built b = buildOk(corpusSource(e, &top), top);
+      ASSERT_NE(b.design, nullptr) << e.name;
+      OptOptions opts;
+      opts.level = level;
+      (void)b.comp->optimize(*b.design, opts);
+      EXPECT_EQ(designContentHash(*b.design), want.at(e.name)[level])
+          << e.name << " -O" << level;
+    }
+  }
 }
 
 // A mid-run snapshot that goes through its ZSNP byte form resumes

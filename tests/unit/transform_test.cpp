@@ -151,12 +151,9 @@ TEST_P(TransformCorpus, NothingLiveIsRemoved) {
     ASSERT_FALSE(gf.hasCycle);
     FoldOracle of(*bf.design, gf);
     for (NodeId ni = 0; ni < nlf.nodeCount(); ++ni) {
-      Node& n = nlf.node(ni);
-      if (FoldOracle::foldable(n.op) &&
+      if (FoldOracle::foldable(nlf.node(ni).op) &&
           of.nodeConst[ni] != FoldOracle::kUnknown) {
-        n.op = NodeOp::Const;
-        n.constVal = static_cast<Logic>(of.nodeConst[ni]);
-        n.inputs.clear();
+        nlf.foldToConst(ni, static_cast<Logic>(of.nodeConst[ni]));
       }
     }
   }
@@ -444,10 +441,10 @@ TEST(Verifier, RejectsTamperedGraphs) {
     const Netlist& nl = b.design->netlist;
     auto node = std::find_if(
         h.schedule.begin(), h.schedule.end(), [&](const SimGraph::Step& s) {
-          return s.isNode && !nl.node(s.index).inputs.empty();
+          return s.isNode && !nl.inputs(s.index).empty();
         });
     ASSERT_NE(node, h.schedule.end());
-    const uint32_t in = h.dense(nl.node(node->index).inputs[0]);
+    const uint32_t in = h.dense(nl.inputs(node->index)[0]);
     auto net = std::find_if(
         h.schedule.begin(), h.schedule.end(),
         [&](const SimGraph::Step& s) { return !s.isNode && s.index == in; });
