@@ -10,8 +10,8 @@
 //
 // With --overhead it instead times the levelized engine in three
 // configurations — a raw evaluator loop ("bare"), the Simulation facade
-// with all observability off ("disabled") and with tracing + activity
-// profiling on ("enabled") — and writes a zeus-bench-overhead-v1 JSON;
+// with all observability off ("disabled") and with the telemetry recorder
+// + activity profiling on ("enabled") — and writes a zeus-bench-overhead-v1 JSON;
 // the bench_metrics_smoke ctest asserts disabled stays within 5% of bare
 // (the zero-overhead-when-disabled claim).  Its cycle count grows from
 // --cycles until every timed rep lasts at least 0.2 s.
@@ -33,7 +33,7 @@
 #include "src/corpus/corpus.h"
 #include "src/support/buildinfo.h"
 #include "src/support/metrics.h"
-#include "src/support/trace.h"
+#include "src/support/telemetry.h"
 
 namespace {
 
@@ -658,7 +658,7 @@ constexpr uint64_t kOverheadChunkCycles = 128;
 struct OverheadRep {
   double bare = 1e99;      ///< raw evaluator loop
   double disabled = 1e99;  ///< Simulation facade, observability off
-  double enabled = 1e99;   ///< tracing + activity profiling on
+  double enabled = 1e99;   ///< recorder + activity profiling on
 };
 
 /// One rep: `cycles` cycles on each arm, interleaved chunk by chunk.
@@ -680,13 +680,13 @@ OverheadRep timeOverheadRep(const zeus::SimGraph& g, uint64_t cycles) {
   OverheadRep r{0, 0, 0};
   for (uint64_t done = 0; done < cycles; done += kOverheadChunkCycles) {
     const uint64_t n = std::min(kOverheadChunkCycles, cycles - done);
-    zeus::trace::setEnabled(false);
+    zeus::telemetry::setEnabled(false);
     r.bare += timed([&] { bare.run(n); });
     r.disabled += timed([&] { disabled.step(n); });
-    zeus::trace::setEnabled(true);
+    zeus::telemetry::setEnabled(true);
     r.enabled += timed([&] { enabled.step(n); });
   }
-  zeus::trace::setEnabled(false);
+  zeus::telemetry::setEnabled(false);
   return r;
 }
 

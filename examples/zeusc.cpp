@@ -89,6 +89,7 @@
 #include "src/support/buildinfo.h"
 #include "src/support/eventlog.h"
 #include "src/support/metrics.h"
+#include "src/support/telemetry.h"
 #include "src/support/trace.h"
 
 namespace {
@@ -354,7 +355,10 @@ int main(int argc, char** argv) {
   // zeus-crash-v1 post-mortem behind.  (--die-at-cycle's default SIGKILL
   // is uncatchable by design: the crash-recovery tests want a power cut.)
   zeus::flightrec::arm(crashDump.c_str());
-  if (!logOut.empty()) zeus::eventlog::setEnabled(true);
+  // One recorder takes spans and log lines; --log, --trace, --metrics and
+  // --stats each render their own view of it.  Batch-request mode below
+  // renders only the log.
+  if (!logOut.empty()) zeus::telemetry::setEnabled(true);
   auto emitLog = [&]() {
     if (logOut.empty()) return;
     if (writeFile(logOut, zeus::eventlog::renderJsonl())) {
@@ -424,11 +428,10 @@ int main(int argc, char** argv) {
     name = file;
   }
 
-  // Spans are recorded from the very first pipeline phase, so tracing has
-  // to be switched on before Compilation::fromSource runs the lexer.
-  // --stats reuses the phase timings for its summary table.
+  // Spans are recorded from the very first pipeline phase, so the
+  // recorder has to be on before Compilation::fromSource runs the lexer.
   if (!traceOut.empty() || !metricsOut.empty() || stats) {
-    zeus::trace::setEnabled(true);
+    zeus::telemetry::setEnabled(true);
   }
 
   auto comp = zeus::Compilation::fromSource(name, source);

@@ -112,7 +112,9 @@ class BatchSimulation {
   /// Restores a (scalar or per-lane) snapshot into one lane.  Sets the
   /// batch's SHARED cycle counter to the snapshot's cycle and appends the
   /// snapshot's errors tagged with this lane.  Throws
-  /// std::invalid_argument on design-hash or size mismatch.
+  /// std::invalid_argument on design-hash or size mismatch.  The snapshot
+  /// carries no net values, so netValue() and the outputs of EVERY lane
+  /// read UNDEF until the next step() or evaluateOnly().
   void restoreSnapshot(size_t lane, const SimSnapshot& snap);
 
   /// Evaluates `n` clock cycles (evaluate + latch each) on every lane.

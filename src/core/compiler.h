@@ -76,9 +76,6 @@ class Compilation {
   void recordSimulation(const Simulation& sim);
   /// Same for a 64-lane batch run; cycles count evaluated (not lane) cycles.
   void recordSimulation(const BatchSimulation& sim);
-  /// Usage sink to hand to stages (e.g. Simulation::Options::usage) that
-  /// should account against this compilation's report.
-  ResourceUsage* usage() { return &usage_; }
 
  private:
   Compilation() = default;

@@ -31,7 +31,12 @@ Simulation::Simulation(const SimGraph& graph, const Options& opts)
       break;
   }
   reset();
-  if (opts_.profileActivity) setActivityProfiling(true);
+  if (opts_.profileActivity) {
+    prevValues_.assign(g_.denseCount, Logic::Undef);
+    toggles_.assign(g_.denseCount, 0);
+    undefCycles_.assign(g_.denseCount, 0);
+    noinflCycles_.assign(g_.denseCount, 0);
+  }
 }
 
 void Simulation::reset() {
@@ -53,16 +58,6 @@ void Simulation::reset() {
   std::fill(toggles_.begin(), toggles_.end(), 0);
   std::fill(undefCycles_.begin(), undefCycles_.end(), 0);
   std::fill(noinflCycles_.begin(), noinflCycles_.end(), 0);
-}
-
-void Simulation::setActivityProfiling(bool on) {
-  profiling_ = on;
-  if (on && toggles_.empty()) {
-    prevValues_.assign(g_.denseCount, Logic::Undef);
-    toggles_.assign(g_.denseCount, 0);
-    undefCycles_.assign(g_.denseCount, 0);
-    noinflCycles_.assign(g_.denseCount, 0);
-  }
 }
 
 void Simulation::profileCycle() {
@@ -281,17 +276,12 @@ void Simulation::runCycle(bool latch) {
          "cycle evaluation aborted by the firing watchdog (event budget "
          "exhausted); net values for this cycle are unreliable"});
   }
-  if (opts_.usage) {
-    opts_.usage->simEvents = stats().inputEvents;
-    opts_.usage->simFaults = errors_.size();
-  }
-
   // A tripped watchdog declares this cycle's net values unreliable: do
   // not latch them into registers, and do not count the cycle — nor
   // profile it (its values would poison the toggle/dwell statistics).
   if (watchdogTripped_) return;
   if (!latch) return;
-  if (profiling_) profileCycle();
+  if (opts_.profileActivity) profileCycle();
   // Two-phase latch: every register reads its input's resolved value from
   // this cycle; "if in is not changed during a clock cycle, it keeps its
   // value" (§5.1) — no active assignment means keep.  A net is actively
@@ -304,7 +294,6 @@ void Simulation::runCycle(bool latch) {
     r.p1 = (v.p1 & act) | (r.p1 & ~act);
   }
   ++cycle_;
-  if (opts_.usage) opts_.usage->simCycles = cycle_;
 }
 
 void Simulation::step(uint64_t n) {
@@ -323,7 +312,6 @@ void Simulation::step(uint64_t n) {
              "simulation stopped after " + std::to_string(i) + " of " +
                  std::to_string(n) + " cycle(s): wall-clock budget of " +
                  std::to_string(opts_.maxSimMillis) + " ms exhausted"});
-        if (opts_.usage) opts_.usage->simFaults = errors_.size();
         return;
       }
     }

@@ -20,7 +20,6 @@
 #include "src/sim/levelized_evaluator.h"
 #include "src/sim/naive_evaluator.h"
 #include "src/support/diagnostics.h"
-#include "src/support/limits.h"
 #include "src/support/metrics.h"
 
 namespace zeus {
@@ -83,8 +82,6 @@ class Simulation {
     /// Wall-clock budget for step(); 0 = unlimited.  When exceeded the
     /// run stops early with a SimWallClock fault.
     uint64_t maxSimMillis = 0;
-    /// Optional usage sink (simCycles / simEvents / simFaults).
-    ResourceUsage* usage = nullptr;
     /// Per-net activity profiling (toggle counts, UNDEF/NOINFL dwell);
     /// adds one O(nets) sweep per latched cycle, so it is off by default
     /// and the only cost when off is a single branch per cycle.
@@ -160,7 +157,9 @@ class Simulation {
   [[nodiscard]] SimSnapshot saveSnapshot() const;
   /// Restores a snapshot taken on a Simulation of the same design (any
   /// evaluator).  Throws std::invalid_argument when the snapshot's design
-  /// hash or state sizes do not match this design.
+  /// hash or state sizes do not match this design.  The snapshot carries
+  /// no net values, so netValue() and the outputs read UNDEF until the
+  /// next step() or evaluateOnly().
   void restoreSnapshot(const SimSnapshot& snap);
 
   /// Evaluates `n` clock cycles (evaluate + latch each).  Stops early —
@@ -190,9 +189,6 @@ class Simulation {
   [[nodiscard]] const EvalStats& stats() const;
   void resetStats();
 
-  /// Turns per-net activity profiling on/off mid-run (counters persist
-  /// until reset()); equivalent to Options::profileActivity at start.
-  void setActivityProfiling(bool on);
   /// Per-net toggle counts and UNDEF/NOINFL dwell keyed to netlist
   /// names: hottest nets by toggles, deepest cones by graph level.
   /// Empty (ran=false) unless profiling was enabled.
@@ -248,8 +244,7 @@ class Simulation {
   BatchFaultPlan laneFaults_;
   FaultWindow faultWindow_;
 
-  // Activity profiler (allocated lazily when profiling turns on).
-  bool profiling_ = false;
+  // Activity profiler (allocated when Options::profileActivity is set).
   bool prevValid_ = false;  ///< prevValues_ holds the last profiled cycle
   uint64_t profiledCycles_ = 0;
   std::vector<Logic> prevValues_;      ///< per dense net

@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <mutex>
-#include <vector>
+#include <utility>
 
 #include "src/support/buildinfo.h"
 #include "src/support/metrics.h"
@@ -27,11 +27,6 @@ void recordLine(const std::string& line);
 namespace zeus::eventlog {
 
 namespace {
-
-using threadslot::Line;
-
-/// Serialized lines live in the per-thread slots (thread_slot.h).
-constinit threadslot::Sink<Line> g_lines{&threadslot::Slot::lines};
 
 std::mutex g_requestIdMutex;
 std::string& requestIdStorage() {
@@ -101,11 +96,6 @@ Field boolean(const char* key, bool value) {
   return {key, value ? "true" : "false", false};
 }
 
-void setEnabled(bool on) { g_lines.setEnabled(on); }
-bool enabled() { return g_lines.enabled(); }
-void clear() { g_lines.clear(); }
-size_t eventCount() { return g_lines.count(); }
-
 void setRequestId(std::string_view id) {
   std::lock_guard<std::mutex> lock(g_requestIdMutex);
   requestIdStorage().assign(id);
@@ -118,30 +108,29 @@ std::string requestId() {
 
 void emit(Severity sev, const char* subsystem, const char* event,
           std::initializer_list<Field> fields) {
-  const bool toLog = enabled();
+  const uint64_t epoch = threadslot::sink.open();
   const bool toRing = flightrec::armed();
-  if (!toLog && !toRing) return;  // the cost when telemetry is off
+  if (!epoch && !toRing) return;  // the cost when telemetry is off
 
-  const uint64_t epoch = g_lines.generation();
   const uint64_t ts = threadslot::nowUs();
-  const std::string line =
+  std::string line =
       serializeLine(ts, sev, subsystem, event, requestId(), fields);
 
   if (toRing) flightrec::detail::recordLine(line);
-  if (!toLog) return;
+  if (!epoch) return;
 
-  g_lines.append(threadslot::local(), epoch, {ts, line});
+  threadslot::Slot& slot = threadslot::local();
+  threadslot::sink.append(
+      slot, epoch,
+      {ts, slot.tid, slot.seq++, nullptr, nullptr, 0, std::move(line)});
 }
 
 std::string renderJsonl() {
-  std::vector<Line> all = g_lines.collect();
-  std::sort(all.begin(), all.end(), [](const Line& a, const Line& b) {
-    return a.tsUs != b.tsUs ? a.tsUs < b.tsUs : a.text < b.text;
-  });
   std::string out = "{\"v\": 1, \"schema\": \"zeus-log-v1\", \"build\": " +
                     buildinfo::renderJson() + "}\n";
-  for (const Line& l : all) {
-    out += l.text;
+  for (const threadslot::Record& r : threadslot::sink.collect()) {
+    if (r.isSpan()) continue;
+    out += r.text;
     out += "\n";
   }
   return out;

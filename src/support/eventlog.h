@@ -9,14 +9,14 @@
 // one self-contained JSON object per line, so a service log can be
 // tailed, grepped and joined on "req" without parsing state.
 //
-// Concurrency contract — the same one as the trace buffer
-// (src/support/trace.h): emit() may run from any thread at any time.
-// Serialized lines collect in the per-thread slots (thread_slot.h) under
-// the slot's own (uncontended) mutex; clear()/setEnabled(false) bump a
-// generation stamp so an emit racing a clear drops its line instead of
-// resurrecting it into a buffer the caller believes is quiescent.  When
-// neither the log sink nor the flight recorder is on, emit() costs two
-// relaxed atomic loads and serializes nothing.
+// Concurrency contract — the same one as trace spans, which share the
+// recorder (thread_slot.h) and its one switch (telemetry.h): emit() may
+// run from any thread at any time.  A serialized line is one record in
+// the caller's slot, appended under the slot's own (uncontended) mutex;
+// an emit racing telemetry::clear() or setEnabled(false) drops its line
+// instead of resurrecting it into a recorder the caller believes is
+// empty.  When neither the recorder nor the flight recorder is on, emit()
+// costs two relaxed atomic loads and serializes nothing.
 //
 // The flight recorder (zeus::flightrec) is the part that survives a
 // crash: every emitted event is also pre-serialized into a bounded
@@ -54,19 +54,6 @@ struct Field {
 [[nodiscard]] Field num(const char* key, double value);
 [[nodiscard]] Field boolean(const char* key, bool value);
 
-/// Globally enables/disables JSONL collection.  Thread-safe.  Disabling
-/// drops events emitted concurrently with the flip (generation rule).
-/// The flight-recorder ring records independently of this switch.
-void setEnabled(bool on);
-[[nodiscard]] bool enabled();
-
-/// Discards every collected line (all threads).  Emits racing the clear
-/// drop their line (generation rule, as trace::clear()).
-void clear();
-
-/// Number of collected lines so far (all threads).
-[[nodiscard]] size_t eventCount();
-
 /// Tags every subsequent event (all threads) with this request id until
 /// changed; empty clears the tag.  The serve loop sets it per request so
 /// farm-worker events carry the request that caused them.
@@ -74,13 +61,15 @@ void setRequestId(std::string_view id);
 [[nodiscard]] std::string requestId();
 
 /// Records one event.  `subsystem` and `event` must be string literals
-/// (e.g. "serve", "request-done").  Near-free when both the log sink and
-/// the flight recorder are off.
+/// (e.g. "serve", "request-done").  Near-free when both the recorder and
+/// the flight recorder are off; the flight-recorder ring records
+/// independently of telemetry::setEnabled.
 void emit(Severity sev, const char* subsystem, const char* event,
           std::initializer_list<Field> fields = {});
 
-/// All collected lines in timestamp order, prefixed with one zeus-log-v1
-/// header line carrying the build-info stamp.  Every line is one JSON
+/// All recorded lines in the recorder's order (timestamp, tid, emit
+/// order), prefixed with one zeus-log-v1 header line carrying the
+/// build-info stamp.  Every line is one JSON
 /// object: {"v": 1, "ts_us": ..., "sev": "...", "sub": "...",
 /// "ev": "...", ["req": "...",] ["fields": {...}]}.
 [[nodiscard]] std::string renderJsonl();

@@ -39,8 +39,7 @@ std::string ResourceReport::render() const {
   out += line("  nets", usage.nets, limits.maxNets);
   out += line("  nodes", usage.nodes, limits.maxNets);
   out += line("  sim cycles", usage.simCycles, 0, "unbounded");
-  out += line("  sim events", usage.simEvents, limits.maxEventsPerCycle,
-              "auto/cycle");
+  out += line("  sim events", usage.simEvents, 0, "auto/cycle");
   out += line("  sim faults", usage.simFaults, 0, "n/a");
   return out;
 }

@@ -3,7 +3,7 @@
 // Zeus's static rules stop a *design* from burning transistors (§4.7);
 // this header stops the *compiler* from being burned by its inputs.  A
 // Limits value travels from Compilation::fromSource through the lexer,
-// parser, type table, elaborator and simulator; every breach becomes a
+// parser, type table and elaborator; every breach becomes a
 // recoverable diagnostic — never an abort, hang or unbounded allocation.
 // ResourceUsage records what was actually consumed so a compilation can
 // answer "how close to the budget did this design come?" via
@@ -16,9 +16,8 @@
 
 namespace zeus {
 
-/// Hard ceilings per pipeline stage.  Zero never means "zero permitted":
-/// for the two simulator knobs 0 selects "automatic" / "unlimited" as
-/// documented per field.
+/// Hard ceilings per front-end and elaboration stage.  The simulator's
+/// budgets (firing watchdog, wall clock) are Simulation::Options fields.
 struct Limits {
   // -- lexer --
   size_t maxSourceBytes = 8u << 20;  ///< longest accepted source buffer
@@ -37,10 +36,6 @@ struct Limits {
   size_t maxInstances = 1u << 20; ///< materialised component instances
   size_t maxNets = 1u << 22;      ///< nets in the flat netlist
   uint64_t maxElabSteps = 1u << 24;  ///< statements executed + array elems
-
-  // -- simulation --
-  uint64_t maxEventsPerCycle = 0;  ///< firing watchdog; 0 = auto (from graph)
-  uint64_t maxSimMillis = 0;       ///< wall-clock budget for step(); 0 = off
 };
 
 /// What one compilation actually consumed.  Stages update the usage record

@@ -1,5 +1,5 @@
 // Runtime metrics for the Zeus pipeline: lock-free counters, per-phase
-// timings derived from the trace buffer, per-net activity profiles and
+// timings derived from the span records, per-net activity profiles and
 // the stable machine-readable report behind `zeusc --metrics` (schema
 // zeus-metrics-v1, documented in docs/observability.md).
 //
@@ -43,8 +43,8 @@ class Counter {
   uint32_t id_;
 };
 
-/// Aggregated wall-clock of one pipeline phase (all spans with that name
-/// in the trace buffer, category "compile" or "sim").
+/// Aggregated wall-clock of one pipeline phase (all recorded spans with
+/// that name, category "compile" or "sim").
 struct PhaseTiming {
   std::string name;
   std::string category;
@@ -52,8 +52,8 @@ struct PhaseTiming {
   uint64_t count = 0;  ///< spans aggregated
 };
 
-/// Folds the current trace buffer into one entry per (name, category),
-/// in first-seen order.  Empty when tracing was never enabled.
+/// Folds the recorded spans into one entry per (name, category), in
+/// first-seen order.  Empty when the recorder was never on.
 [[nodiscard]] std::vector<PhaseTiming> phaseTimings();
 
 /// Runtime counter snapshot of one simulation run (scalar or batch).

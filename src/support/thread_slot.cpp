@@ -1,5 +1,11 @@
 #include "src/support/thread_slot.h"
 
+#include <algorithm>
+#include <tuple>
+#include <utility>
+
+#include "src/support/telemetry.h"
+
 namespace zeus::threadslot {
 
 namespace {
@@ -66,4 +72,56 @@ void forEach(const std::function<void(Slot&)>& fn) {
   }
 }
 
+constinit Sink sink;
+
+void Sink::setEnabled(bool on) {
+  enabled_.store(on, std::memory_order_seq_cst);
+  if (!on) epoch_.fetch_add(1, std::memory_order_seq_cst);
+}
+
+void Sink::append(Slot& slot, uint64_t generation, Record record) {
+  std::lock_guard<std::mutex> lock(slot.mutex);
+  if (epoch_.load(std::memory_order_seq_cst) != generation) return;
+  slot.records.push_back(std::move(record));
+}
+
+void Sink::clear() {
+  // Bump FIRST: a record holding the old generation either appends
+  // before we lock its slot (and is cleared) or re-checks after.
+  epoch_.fetch_add(1, std::memory_order_seq_cst);
+  forEach([](Slot& s) {
+    std::lock_guard<std::mutex> lock(s.mutex);
+    s.records.clear();
+  });
+}
+
+size_t Sink::count() const {
+  size_t n = 0;
+  forEach([&n](Slot& s) {
+    std::lock_guard<std::mutex> lock(s.mutex);
+    n += s.records.size();
+  });
+  return n;
+}
+
+std::vector<Record> Sink::collect() const {
+  std::vector<Record> all;
+  forEach([&all](Slot& s) {
+    std::lock_guard<std::mutex> lock(s.mutex);
+    all.insert(all.end(), s.records.begin(), s.records.end());
+  });
+  std::sort(all.begin(), all.end(), [](const Record& a, const Record& b) {
+    return std::tie(a.tsUs, a.tid, a.seq) < std::tie(b.tsUs, b.tid, b.seq);
+  });
+  return all;
+}
+
 }  // namespace zeus::threadslot
+
+namespace zeus::telemetry {
+
+void setEnabled(bool on) { threadslot::sink.setEnabled(on); }
+void clear() { threadslot::sink.clear(); }
+size_t recordCount() { return threadslot::sink.count(); }
+
+}  // namespace zeus::telemetry

@@ -1,13 +1,15 @@
-// Per-thread telemetry slots: the one mechanism behind trace spans,
-// event-log lines, metrics counter cells and the flight recorder's
-// open-span stacks (internal; docs/observability.md, "Thread safety").
+// Per-thread telemetry slots and the one recorder over them: the
+// mechanism behind trace spans, event-log lines, metrics counter cells
+// and the flight recorder's open-span stacks (internal; the switch is
+// src/support/telemetry.h, the protocol docs/observability.md, "Thread
+// safety").
 //
 // Slots sit on one append-only list whose nodes are never freed, so the
 // crash handler walks it with acquire loads and no locks, and LSan sees
 // every slot.  A thread's slot goes on a free list when the thread exits
 // and the next new thread reuses it, tid included, so the slot count
 // tracks peak live threads.  Counter cells are not zeroed on reuse, and
-// recorded spans and lines stay until their sink's clear().
+// records stay until the recorder's clear().
 //
 // Lock order: registry mutex, then slot mutex.  Recording takes only the
 // own slot's mutex; taking or returning a slot takes only the registry
@@ -22,10 +24,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
-
-#include "src/support/trace.h"
 
 namespace zeus::threadslot {
 
@@ -40,17 +39,25 @@ inline uint64_t nowUs() {
           .count());
 }
 
-/// One serialized zeus-log-v1 line, timestamped for the merge.
-struct Line {
-  uint64_t tsUs;
-  std::string text;
+/// One record: a trace span, written whole when it closes, or one
+/// serialized zeus-log-v1 line.
+struct Record {
+  uint64_t tsUs;         ///< a span's start; a line's emit time
+  uint32_t tid;
+  uint64_t seq;          ///< the slot's open/emit order
+  const char* name;      ///< span: phase-name literal; line: nullptr
+  const char* category;  ///< span: category literal; line: nullptr
+  uint64_t durUs;        ///< span only
+  std::string text;      ///< line only
+
+  [[nodiscard]] bool isSpan() const { return name != nullptr; }
 };
 
 struct Slot {
-  std::mutex mutex;  ///< guards `events` and `lines`
+  std::mutex mutex;  ///< guards `records`
   uint32_t tid = 0;  ///< 1-based; kept when the slot is reused
-  std::vector<trace::Event> events;
-  std::vector<Line> lines;
+  uint64_t seq = 0;  ///< records opened or emitted; owner thread only
+  std::vector<Record> records;
   std::array<std::atomic<uint64_t>, kMaxCounters> cells{};  ///< by id
   /// Open-span stack; counts past kMaxSpanDepth so pops balance.
   std::atomic<uint32_t> spanDepth{0};
@@ -69,67 +76,40 @@ struct Slot {
 /// Calls fn on every slot under the registry mutex.
 void forEach(const std::function<void(Slot&)>& fn);
 
-/// A recording sink over one per-slot buffer, with its own enabled flag
-/// and generation stamp.  clear() and setEnabled(false) bump the
-/// generation; a record captures it at entry and append() re-checks it
-/// under the slot mutex, so a record straddling either call is dropped
-/// rather than resurrected into a buffer the caller believes is empty.
-template <class T>
+/// The recorder over every slot's `records`: one enabled flag and one
+/// generation stamp.  clear() and setEnabled(false) bump the generation;
+/// a span takes it when it opens and a log line at emit, and append()
+/// re-checks it under the slot mutex, so a record straddling either call
+/// is dropped rather than resurrected into a recorder the caller
+/// believes is empty.
 class Sink {
  public:
-  explicit constexpr Sink(std::vector<T> Slot::*buffer) : buffer_(buffer) {}
-
-  void setEnabled(bool on) {
-    if (!on) epoch_.fetch_add(1, std::memory_order_seq_cst);
-    enabled_.store(on, std::memory_order_relaxed);
+  void setEnabled(bool on);
+  /// The generation a record opened now belongs to; 0 while the recorder
+  /// is off, which costs one relaxed load.  The second load of the flag
+  /// pairs with setEnabled(false), which clears it before bumping the
+  /// generation: a record that sees the new generation sees the recorder
+  /// off, so none opens after setEnabled(false) returns.
+  [[nodiscard]] uint64_t open() const {
+    if (!enabled_.load(std::memory_order_relaxed)) return 0;
+    const uint64_t generation = epoch_.load(std::memory_order_seq_cst);
+    return enabled_.load(std::memory_order_relaxed) ? generation : 0;
   }
-  [[nodiscard]] bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] uint64_t generation() const {
-    return epoch_.load(std::memory_order_seq_cst);
-  }
-
   /// Appends to the caller's own slot unless the generation moved.
-  void append(Slot& slot, uint64_t generation, T item) {
-    std::lock_guard<std::mutex> lock(slot.mutex);
-    if (epoch_.load(std::memory_order_seq_cst) != generation) return;
-    (slot.*buffer_).push_back(std::move(item));
-  }
-
-  void clear() {
-    // Bump FIRST: a record holding the old generation either appends
-    // before we lock its slot (and is cleared) or re-checks after.
-    epoch_.fetch_add(1, std::memory_order_seq_cst);
-    forEach([this](Slot& s) {
-      std::lock_guard<std::mutex> lock(s.mutex);
-      (s.*buffer_).clear();
-    });
-  }
-
-  [[nodiscard]] size_t count() const {
-    size_t n = 0;
-    forEach([this, &n](Slot& s) {
-      std::lock_guard<std::mutex> lock(s.mutex);
-      n += (s.*buffer_).size();
-    });
-    return n;
-  }
-
-  /// Every slot's records, unsorted.
-  [[nodiscard]] std::vector<T> collect() const {
-    std::vector<T> all;
-    forEach([this, &all](Slot& s) {
-      std::lock_guard<std::mutex> lock(s.mutex);
-      all.insert(all.end(), (s.*buffer_).begin(), (s.*buffer_).end());
-    });
-    return all;
-  }
+  void append(Slot& slot, uint64_t generation, Record record);
+  void clear();
+  [[nodiscard]] size_t count() const;
+  /// Every slot's records in one total order: timestamp, then tid, then
+  /// the slot's open/emit order.  A parent span therefore precedes a
+  /// child opened in the same microsecond.
+  [[nodiscard]] std::vector<Record> collect() const;
 
  private:
   std::atomic<bool> enabled_{false};
   std::atomic<uint64_t> epoch_{1};
-  std::vector<T> Slot::*buffer_;
 };
+
+/// The process's one recorder: trace spans and zeus-log-v1 lines.
+extern Sink sink;
 
 }  // namespace zeus::threadslot

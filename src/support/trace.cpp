@@ -1,30 +1,17 @@
 #include "src/support/trace.h"
 
-#include <algorithm>
-
 #include "src/support/eventlog.h"
 #include "src/support/thread_slot.h"
 
 namespace zeus::trace {
 
-namespace {
-
-/// Span events live in the per-thread slots (thread_slot.h).
-constinit threadslot::Sink<Event> g_spans{&threadslot::Slot::events};
-
-}  // namespace
-
-void setEnabled(bool on) { g_spans.setEnabled(on); }
-bool enabled() { return g_spans.enabled(); }
-void clear() { g_spans.clear(); }
-size_t eventCount() { return g_spans.count(); }
-
 std::vector<Event> snapshot() {
-  std::vector<Event> all = g_spans.collect();
-  std::sort(all.begin(), all.end(), [](const Event& a, const Event& b) {
-    return a.startUs < b.startUs;
-  });
-  return all;
+  std::vector<Event> spans;
+  for (const threadslot::Record& r : threadslot::sink.collect()) {
+    if (!r.isSpan()) continue;
+    spans.push_back({r.name, r.category, r.tsUs, r.durUs, r.tid});
+  }
+  return spans;
 }
 
 std::string renderChromeJson() {
@@ -46,8 +33,8 @@ std::string renderChromeJson() {
 }
 
 Span::Span(const char* name, const char* category)
-    : name_(name), category_(category), startUs_(0), epoch_(0),
-      frPushed_(false) {
+    : name_(name), category_(category), startUs_(0), seq_(0),
+      epoch_(threadslot::sink.open()), frPushed_(false) {
   // The flight recorder tracks open spans independently of whether span
   // recording is enabled: the crash dump wants "where was each thread"
   // even in a run that never asked for a trace file.
@@ -55,22 +42,20 @@ Span::Span(const char* name, const char* category)
     flightrec::pushSpan(name, category);
     frPushed_ = true;
   }
-  if (enabled()) {
-    epoch_ = g_spans.generation();
+  if (epoch_) {
+    seq_ = threadslot::local().seq++;
     startUs_ = threadslot::nowUs();
-    if (startUs_ == 0) startUs_ = 1;  // 0 means "off"; never record it
   }
 }
 
 Span::~Span() {
   if (frPushed_) flightrec::popSpan();
-  if (startUs_ == 0) return;
-  if (!enabled()) return;  // disabled mid-span: drop
-  uint64_t end = threadslot::nowUs();
+  if (!epoch_) return;
+  const uint64_t end = threadslot::nowUs();
   threadslot::Slot& slot = threadslot::local();
-  g_spans.append(slot, epoch_,
-                 {name_, category_, startUs_,
-                  end > startUs_ ? end - startUs_ : 0, slot.tid});
+  threadslot::sink.append(slot, epoch_,
+                          {startUs_, slot.tid, seq_, name_, category_,
+                           end > startUs_ ? end - startUs_ : 0, {}});
 }
 
 }  // namespace zeus::trace

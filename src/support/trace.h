@@ -1,54 +1,39 @@
 // Zero-overhead-when-disabled tracing for the Zeus pipeline.
 //
 // Spans measure a phase (lex, parse, sema, elab, graph-build, levelize,
-// lint, simulate) on the monotonic clock and collect into a process-wide
-// buffer that renders as Chrome trace_event JSON — `zeusc --trace out.json`
-// loads directly in Perfetto / chrome://tracing.
+// lint, simulate) on the monotonic clock.  Each is one record of the
+// telemetry recorder (thread_slot.h), written whole when it closes, and
+// the span records render as Chrome trace_event JSON — `zeusc --trace
+// out.json` loads directly in Perfetto / chrome://tracing.
 //
 // Cost model:
 //   * compile time: defining ZEUS_TRACE_DISABLED compiles every
 //     ZEUS_TRACE_SPAN to nothing;
-//   * runtime: while tracing is not enabled (the default) a span is one
-//     relaxed atomic load and no clock reads — nothing is allocated and
-//     nothing is locked;
-//   * enabled: events append to the calling thread's slot (thread_slot.h)
-//     under that slot's own (uncontended) mutex; the registry lock is
-//     taken on a thread's first record and at render/clear time.
+//   * runtime: while the recorder is off (telemetry.h; the default) a
+//     span is one relaxed atomic load and no clock reads — nothing is
+//     allocated and nothing is locked;
+//   * on: a span appends to the calling thread's slot under that slot's
+//     own (uncontended) mutex; the registry lock is taken on a thread's
+//     first record and at render/clear time.
 //
 // Thread-safety contract (docs/observability.md): every function here may
 // be called from any thread at any time.  A span that is still open when
-// clear() or setEnabled(false) runs records NOTHING when it closes — the
-// buffers stay empty after a clear even if worker spans straddle it, so
-// phaseTimings never sees resurrected events.
+// telemetry::clear() or telemetry::setEnabled(false) runs records NOTHING
+// when it closes, so phaseTimings never sees resurrected events.
 //
 // Spans are deliberately phase-grained, never per-cycle or per-node: the
 // simulation hot loops stay untouched (per-cycle observability is the
 // counter layer in src/support/metrics.h).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace zeus::trace {
 
-/// Globally enables/disables span recording.  Disabled spans cost one
-/// relaxed atomic load.  Thread-safe.  Disabling drops every span still
-/// open at that moment (they record nothing when they close, even if
-/// tracing is re-enabled before then).
-void setEnabled(bool on);
-[[nodiscard]] bool enabled();
-
-/// Discards every recorded event (all threads).  Spans still open when
-/// clear() runs are dropped too: they record nothing when they close.
-void clear();
-
-/// Number of completed spans recorded so far (all threads).
-[[nodiscard]] size_t eventCount();
-
 /// One recorded span, exposed for the metrics layer: `--metrics` derives
-/// its compile.phases block from the trace buffer.
+/// its compile.phases block from the span records.
 struct Event {
   const char* name;      ///< static string: phase name
   const char* category;  ///< static string: "compile" / "sim" / ...
@@ -57,7 +42,9 @@ struct Event {
   uint32_t tid;
 };
 
-/// Snapshot of all recorded events, merged across threads in start order.
+/// Every recorded span in the recorder's order: start time, then tid,
+/// then the order the thread opened them (a parent precedes a child that
+/// starts in the same microsecond).
 [[nodiscard]] std::vector<Event> snapshot();
 
 /// Renders the Chrome trace_event JSON object:
@@ -67,7 +54,7 @@ struct Event {
 [[nodiscard]] std::string renderChromeJson();
 
 /// RAII span: records one complete event from construction to destruction
-/// when tracing is enabled.  `name` and `category` must be string
+/// when the recorder is on.  `name` and `category` must be string
 /// literals (stored by pointer).
 class Span {
  public:
@@ -79,9 +66,10 @@ class Span {
  private:
   const char* name_;
   const char* category_;
-  uint64_t startUs_;  ///< 0 = tracing was off at entry; record nothing
-  uint64_t epoch_;    ///< buffer generation at entry; stale = dropped
-  bool frPushed_;     ///< on the flight-recorder open-span stack
+  uint64_t startUs_;
+  uint64_t seq_;    ///< the slot's open order: orders equal startUs_
+  uint64_t epoch_;  ///< recorder generation at entry (0: off); stale = drop
+  bool frPushed_;   ///< on the flight-recorder open-span stack
 };
 
 }  // namespace zeus::trace

@@ -1,6 +1,7 @@
 // Event-log and flight-recorder unit tests: zeus-log-v1 line shape,
-// request-id tagging, the clear/disable generation rule (same contract
-// as the trace buffer), and the crash-ring dump from normal context.
+// request-id tagging, the clear/disable generation rule of the recorder
+// the lines share with trace spans, and the crash-ring dump from normal
+// context.
 // The concurrent cases live with the other telemetry stress tests in
 // trace_stress_test.cpp.
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "src/support/eventlog.h"
+#include "src/support/telemetry.h"
 #include "src/support/trace.h"
 #include "tests/support/test_util.h"
 
@@ -30,8 +32,8 @@ struct LogGuard {
   LogGuard() { reset(); }
   ~LogGuard() { reset(); }
   static void reset() {
-    eventlog::setEnabled(false);
-    eventlog::clear();
+    telemetry::setEnabled(false);
+    telemetry::clear();
     eventlog::setRequestId("");
     flightrec::disarm();
   }
@@ -40,16 +42,16 @@ struct LogGuard {
 TEST(EventLog, DisabledEmitsNothing) {
   LogGuard guard;
   eventlog::emit(Severity::Info, "test", "dropped");
-  EXPECT_EQ(eventlog::eventCount(), 0u);
+  EXPECT_EQ(telemetry::recordCount(), 0u);
 }
 
 TEST(EventLog, LineShape) {
   LogGuard guard;
-  eventlog::setEnabled(true);
+  telemetry::setEnabled(true);
   eventlog::emit(Severity::Warn, "farm", "block-done",
                  {num("block", uint64_t{3}), boolean("ok", true),
                   str("note", "a \"quoted\" value")});
-  ASSERT_EQ(eventlog::eventCount(), 1u);
+  ASSERT_EQ(telemetry::recordCount(), 1u);
 
   const std::string jsonl = eventlog::renderJsonl();
   std::vector<std::string> lines;
@@ -78,7 +80,7 @@ TEST(EventLog, LineShape) {
 
 TEST(EventLog, RequestIdTagsEvents) {
   LogGuard guard;
-  eventlog::setEnabled(true);
+  telemetry::setEnabled(true);
   eventlog::setRequestId("r42");
   EXPECT_EQ(eventlog::requestId(), "r42");
   eventlog::emit(Severity::Info, "serve", "tagged");
@@ -98,7 +100,7 @@ TEST(EventLog, RequestIdTagsEvents) {
 
 TEST(EventLog, RenderIsTimestampSorted) {
   LogGuard guard;
-  eventlog::setEnabled(true);
+  telemetry::setEnabled(true);
   // Emit from two threads; render must interleave by ts_us regardless of
   // which per-thread buffer each line landed in.
   std::thread t([] {
@@ -110,7 +112,7 @@ TEST(EventLog, RenderIsTimestampSorted) {
     eventlog::emit(Severity::Debug, "test", "from-main");
   }
   t.join();
-  ASSERT_EQ(eventlog::eventCount(), 40u);
+  ASSERT_EQ(telemetry::recordCount(), 40u);
 
   const std::string jsonl = eventlog::renderJsonl();
   std::istringstream in(jsonl);
@@ -131,13 +133,13 @@ TEST(EventLog, RenderIsTimestampSorted) {
 
 TEST(EventLog, ClearDropsEverythingAndEmitsKeepWorking) {
   LogGuard guard;
-  eventlog::setEnabled(true);
+  telemetry::setEnabled(true);
   eventlog::emit(Severity::Info, "test", "one");
-  ASSERT_EQ(eventlog::eventCount(), 1u);
-  eventlog::clear();
-  EXPECT_EQ(eventlog::eventCount(), 0u);
+  ASSERT_EQ(telemetry::recordCount(), 1u);
+  telemetry::clear();
+  EXPECT_EQ(telemetry::recordCount(), 0u);
   eventlog::emit(Severity::Info, "test", "two");
-  EXPECT_EQ(eventlog::eventCount(), 1u);
+  EXPECT_EQ(telemetry::recordCount(), 1u);
 }
 
 TEST(FlightRecorder, DumpNowWritesSchemaValidFile) {
@@ -149,7 +151,7 @@ TEST(FlightRecorder, DumpNowWritesSchemaValidFile) {
 
   flightrec::arm(path.c_str());
   ASSERT_TRUE(flightrec::armed());
-  // Ring records even with the JSONL sink off — crash dumps must not
+  // Ring records even with the recorder off — crash dumps must not
   // depend on --log being passed.
   eventlog::emit(Severity::Error, "test", "ring-only",
                  {num("n", uint64_t{7})});

@@ -2,8 +2,8 @@
 // trace_event JSON shape), lock-free counters, phase-timing aggregation,
 // the per-net activity profiler and the zeus-metrics-v1 renderer.
 //
-// The trace buffer is process-global, so every test here clears it and
-// leaves tracing disabled on exit — gtest runs tests in one process.
+// The recorder is process-global, so every test here clears it and
+// leaves it off on exit — gtest runs tests in one process.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/support/metrics.h"
+#include "src/support/telemetry.h"
 #include "src/support/trace.h"
 #include "tests/support/test_util.h"
 
@@ -21,24 +22,24 @@ namespace {
 class TraceFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    trace::setEnabled(false);
-    trace::clear();
+    telemetry::setEnabled(false);
+    telemetry::clear();
   }
   void TearDown() override {
-    trace::setEnabled(false);
-    trace::clear();
+    telemetry::setEnabled(false);
+    telemetry::clear();
   }
 };
 
 TEST_F(TraceFixture, DisabledSpansRecordNothing) {
   { ZEUS_TRACE_SPAN("off-span", "test"); }
-  EXPECT_EQ(trace::eventCount(), 0u);
+  EXPECT_EQ(telemetry::recordCount(), 0u);
 }
 
 TEST_F(TraceFixture, EnabledSpansRecordNameCategoryAndDuration) {
-  trace::setEnabled(true);
+  telemetry::setEnabled(true);
   { ZEUS_TRACE_SPAN("my-phase", "test"); }
-  ASSERT_EQ(trace::eventCount(), 1u);
+  ASSERT_EQ(telemetry::recordCount(), 1u);
   std::vector<trace::Event> events = trace::snapshot();
   EXPECT_STREQ(events[0].name, "my-phase");
   EXPECT_STREQ(events[0].category, "test");
@@ -50,33 +51,33 @@ TEST_F(TraceFixture, ToggleMidSpanNeverHalfRecords) {
   // A span that starts disabled records nothing even if tracing turns on
   // before it closes (no bogus start timestamp).  A span that starts
   // enabled but is disabled mid-span is dropped too: setEnabled(false)
-  // retires the buffer generation, so straddling spans cannot resurrect
-  // events into buffers the caller believes are quiescent (the
-  // thread-safety contract in src/support/trace.h).
+  // retires the recorder's generation, so straddling spans cannot
+  // resurrect events into a recorder the caller believes is quiescent
+  // (the thread-safety contract in src/support/trace.h).
   {
     ZEUS_TRACE_SPAN("started-off", "test");
-    trace::setEnabled(true);
+    telemetry::setEnabled(true);
   }
-  EXPECT_EQ(trace::eventCount(), 0u);
+  EXPECT_EQ(telemetry::recordCount(), 0u);
   {
     ZEUS_TRACE_SPAN("started-on", "test");
-    trace::setEnabled(false);
+    telemetry::setEnabled(false);
   }
-  EXPECT_EQ(trace::eventCount(), 0u);
+  EXPECT_EQ(telemetry::recordCount(), 0u);
   // A span fully inside one enabled generation records normally.
-  trace::setEnabled(true);
+  telemetry::setEnabled(true);
   {
     ZEUS_TRACE_SPAN("clean", "test");
     (void)0;
   }
-  EXPECT_EQ(trace::eventCount(), 1u);
+  EXPECT_EQ(telemetry::recordCount(), 1u);
 }
 
 TEST_F(TraceFixture, ChromeJsonShape) {
-  trace::setEnabled(true);
+  telemetry::setEnabled(true);
   { ZEUS_TRACE_SPAN("alpha", "compile"); }
   { ZEUS_TRACE_SPAN("beta", "sim"); }
-  trace::setEnabled(false);
+  telemetry::setEnabled(false);
   std::string json = trace::renderChromeJson();
 
   // The envelope Perfetto requires.
@@ -101,11 +102,11 @@ TEST_F(TraceFixture, EmptyBufferRendersValidEnvelope) {
 }
 
 TEST_F(TraceFixture, PhaseTimingsAggregateByNameAndCategory) {
-  trace::setEnabled(true);
+  telemetry::setEnabled(true);
   { ZEUS_TRACE_SPAN("parse", "compile"); }
   { ZEUS_TRACE_SPAN("parse", "compile"); }
   { ZEUS_TRACE_SPAN("elab", "compile"); }
-  trace::setEnabled(false);
+  telemetry::setEnabled(false);
   std::vector<metrics::PhaseTiming> timings = metrics::phaseTimings();
   ASSERT_EQ(timings.size(), 2u);
   EXPECT_EQ(timings[0].name, "parse");
@@ -115,7 +116,7 @@ TEST_F(TraceFixture, PhaseTimingsAggregateByNameAndCategory) {
 }
 
 TEST_F(TraceFixture, CompilePipelineEmitsPhaseSpans) {
-  trace::setEnabled(true);
+  telemetry::setEnabled(true);
   Built b = buildOk(
       "TYPE t = COMPONENT (IN a: boolean; OUT q: boolean) IS\n"
       "BEGIN q := NOT a END;\nSIGNAL top: t;\n",
@@ -123,7 +124,7 @@ TEST_F(TraceFixture, CompilePipelineEmitsPhaseSpans) {
   SimGraph g = buildSimGraph(*b.design, b.comp->diags());
   Simulation sim(g, EvaluatorKind::Levelized);
   sim.step(2);
-  trace::setEnabled(false);
+  telemetry::setEnabled(false);
 
   std::vector<std::string> names;
   for (const trace::Event& e : trace::snapshot()) names.push_back(e.name);

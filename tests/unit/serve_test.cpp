@@ -7,6 +7,7 @@
 #include <string>
 
 #include "src/core/batch_serve.h"
+#include "src/support/telemetry.h"
 #include "src/support/trace.h"
 
 namespace zeus::test {
@@ -141,16 +142,16 @@ TEST(Serve, MissBuildsTheGraphOnlyInTheOptimizer) {
         R"(, "source": "TYPE t = COMPONENT (IN a: boolean; OUT y: boolean))"
         R"( IS SIGNAL r: REG; BEGIN r.in := NOT a; y := AND(r.out, a) END;)"
         R"( SIGNAL top: t;"}]})";
-    trace::clear();
-    trace::setEnabled(true);
+    telemetry::clear();
+    telemetry::setEnabled(true);
     ServeStats stats;
     std::string resp = runServeBatch(req, ServeOptions{}, &stats);
-    trace::setEnabled(false);
+    telemetry::setEnabled(false);
     size_t builds = 0;
     for (const trace::Event& e : trace::snapshot()) {
       if (std::string(e.name) == "graph-build") ++builds;
     }
-    trace::clear();
+    telemetry::clear();
     ASSERT_EQ(stats.failures, 0u) << resp;
     EXPECT_EQ(stats.compiles, 1u);
     EXPECT_EQ(builds, opt == 1 ? 2u : 1u) << "opt " << opt;

@@ -309,6 +309,59 @@ TEST(Snapshot, SerializedResumeIsBitIdentical) {
   EXPECT_EQ(cont.saveRegisters(), straight.saveRegisters());
 }
 
+// A snapshot carries no net values: a restored simulator reads UNDEF on
+// its outputs until its first step, on both facades, and from that step
+// on it matches the run that never stopped.
+TEST(Snapshot, RestoredSimulatorReadsUndefUntilItsFirstStep) {
+  constexpr int kCycles = 16;
+  constexpr int kStopAt = 8;
+  constexpr uint64_t kSeed = 0xABCDEF;
+  Built b = buildOk(kResumable, "top");
+  SimGraph g = buildSimGraph(*b.design, b.comp->diags());
+  ASSERT_FALSE(g.hasCycle);
+
+  Simulation straight(g, EvaluatorKind::Firing);
+  straight.setRandomSeed(kSeed);
+  for (int c = 0; c < kStopAt; ++c) driveResumable(straight, c);
+  const SimSnapshot snap = straight.saveSnapshot();
+  ASSERT_TRUE(straight.output("o") != Logic::Undef ||
+              straight.output("q") != Logic::Undef)
+      << "no defined output to lose";
+
+  Simulation resumed(g, EvaluatorKind::Levelized);
+  resumed.restoreSnapshot(snap);
+  BatchSimulation batch(g, 2);
+  batch.restoreSnapshot(0, snap);
+  batch.restoreSnapshot(1, snap);
+  for (const char* port : {"o", "q"}) {
+    EXPECT_EQ(resumed.output(port), Logic::Undef) << port;
+    for (size_t l = 0; l < batch.lanes(); ++l) {
+      EXPECT_EQ(batch.output(l, port), Logic::Undef) << port << " lane " << l;
+    }
+  }
+
+  for (int c = kStopAt; c < kCycles; ++c) {
+    driveResumable(straight, c);
+    driveResumable(resumed, c);
+    for (size_t l = 0; l < batch.lanes(); ++l) {
+      batch.setInput(l, "en", resumableInput(c, 0));
+      batch.setInput(l, "a", resumableInput(c, 1));
+      batch.setInput(l, "b", resumableInput(c, 2));
+    }
+    batch.step();
+    for (const char* port : {"o", "q"}) {
+      EXPECT_EQ(resumed.output(port), straight.output(port))
+          << port << " cycle " << c;
+      for (size_t l = 0; l < batch.lanes(); ++l) {
+        EXPECT_EQ(batch.output(l, port), straight.output(port))
+            << port << " cycle " << c << " lane " << l;
+      }
+    }
+  }
+  EXPECT_EQ(resumed.saveRegisters(), straight.saveRegisters());
+  EXPECT_EQ(batch.saveRegisters(1), straight.saveRegisters());
+}
+
 TEST(Snapshot, CampaignProgressRoundtrip) {
   CampaignProgress p;
   p.designHash = 0xDEADBEEFu;

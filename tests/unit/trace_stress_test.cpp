@@ -1,15 +1,17 @@
-// Threaded stress tests for the telemetry layer — trace spans, the event
-// log, the flight recorder and metrics counters, all recorded through the
-// per-thread slots of src/support/thread_slot.h — and the data races the
-// simulation farm exposed.  Under the ZEUS_SANITIZE=thread preset these
-// run with TSan as the referee; in a plain build they still verify the
-// epoch semantics (a record straddling clear()/setEnabled(false) records
-// nothing), slot reuse and counter exactness.
+// Threaded stress tests for the telemetry layer — trace spans and event-log
+// lines (one recorder), the flight recorder and metrics counters, all
+// recorded through the per-thread slots of src/support/thread_slot.h — and
+// the data races the simulation farm exposed.  Under the
+// ZEUS_SANITIZE=thread preset these run with TSan as the referee; in a
+// plain build they still verify the epoch semantics (a record straddling
+// clear()/setEnabled(false) records nothing), the recorder's one total
+// order, slot reuse and counter exactness.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -19,12 +21,13 @@
 
 #include "src/support/eventlog.h"
 #include "src/support/metrics.h"
+#include "src/support/telemetry.h"
 #include "src/support/thread_slot.h"
 #include "src/support/trace.h"
 #include "tests/support/test_util.h"
 
 // TSan serializes every instrumented access; unbounded writer loops on a
-// small host would grow the span buffers to millions of events between
+// small host would grow the record buffers to millions of events between
 // clears and turn each snapshot/render into minutes of work.  Scale the
 // stress budget down under TSan — the interleavings it checks show up in
 // the first few thousand spans, not the millionth.
@@ -50,26 +53,23 @@ constexpr uint64_t kMaxSpansPerWriter = ZEUS_TSAN ? 20000 : 2000000;
 constexpr uint64_t kSpansPerRound = ZEUS_TSAN ? 100 : 500;
 static_assert(2 * kObserverIters * kSpansPerRound <= kMaxSpansPerWriter);
 
-/// Restores the process-wide trace, log and recorder state so the stress
-/// tests cannot leak events into the tests that share this binary.
+/// Restores the process-wide recorder and flight-recorder state so the
+/// stress tests cannot leak events into the tests that share this binary.
 struct TelemetryGuard {
   TelemetryGuard() { reset(); }
   ~TelemetryGuard() { reset(); }
   static void reset() {
-    trace::setEnabled(false);
-    trace::clear();
-    eventlog::setEnabled(false);
-    eventlog::clear();
+    telemetry::setEnabled(false);
+    telemetry::clear();
     flightrec::disarm();
   }
 };
 
 TEST(TelemetryStress, ConcurrentRecordsVsSnapshotAndClear) {
-  // Both slot sinks — trace spans and event-log lines — race their
-  // readers and clear() through the same slot protocol.
+  // Trace spans and event-log lines race the readers, the one switch and
+  // the one clear() of the recorder they share.
   TelemetryGuard guard;
-  trace::setEnabled(true);
-  eventlog::setEnabled(true);
+  telemetry::setEnabled(true);
   constexpr int kWriters = 4;
   std::atomic<bool> stop{false};
   // The observer opens a round before every snapshot and every clear and
@@ -108,39 +108,144 @@ TEST(TelemetryStress, ConcurrentRecordsVsSnapshotAndClear) {
       entered.wait(e, std::memory_order_acquire);
     }
   };
-  // ...while this thread concurrently snapshots, renders and clears the
-  // same slots.  Before the per-buffer mutex, Span::~Span's push_back
-  // raced the registry-only iteration here; TSan flags any regression.
-  for (int i = 0; i < kObserverIters; ++i) {
+  // ...while this thread concurrently snapshots, renders, switches off
+  // and clears the same slots.  Before the per-buffer mutex,
+  // Span::~Span's push_back raced the registry-only iteration here; TSan
+  // flags any regression.  Failures inside the loop are EXPECTs: the
+  // writers must be stopped and joined on every path.
+  for (int i = 0; i < kObserverIters && !HasFailure(); ++i) {
     openRound();
-    (void)trace::eventCount();
+    (void)telemetry::recordCount();
     std::vector<trace::Event> events = trace::snapshot();
-    for (const trace::Event& e : events) {
-      ASSERT_STREQ(e.name, "stress-span");
+    for (size_t k = 0; k < events.size(); ++k) {
+      EXPECT_STREQ(events[k].name, "stress-span");
+      if (k) {
+        // The recorder's order: start time, then tid.
+        const trace::Event& a = events[k - 1];
+        const trace::Event& b = events[k];
+        EXPECT_TRUE(a.startUs < b.startUs ||
+                    (a.startUs == b.startUs && a.tid <= b.tid));
+      }
+      if (HasFailure()) break;
     }
     (void)trace::renderChromeJson();
     (void)metrics::phaseTimings();
-    (void)eventlog::eventCount();
     std::istringstream jsonl(eventlog::renderJsonl());
     std::string line;
     std::getline(jsonl, line);  // header
-    while (std::getline(jsonl, line)) {
-      ASSERT_NE(line.find("\"ev\": \"stress\""), std::string::npos) << line;
+    while (std::getline(jsonl, line) && !HasFailure()) {
+      EXPECT_NE(line.find("\"ev\": \"stress\""), std::string::npos) << line;
     }
     if (i % 10 == 0) {
       openRound();
-      trace::clear();
-      eventlog::clear();
+      telemetry::clear();
+    }
+    if (i % 10 == 5) {
+      // The one switch stops spans and lines alike: after a switch-off
+      // and a clear, a further round of live writers records nothing.
+      openRound();
+      telemetry::setEnabled(false);
+      telemetry::clear();
+      openRound();
+      EXPECT_EQ(telemetry::recordCount(), 0u);
+      EXPECT_TRUE(trace::snapshot().empty());
+      telemetry::setEnabled(true);
     }
   }
   stop.store(true);
   round.fetch_add(1, std::memory_order_release);
   round.notify_all();
   for (std::thread& w : writers) w.join();
-  trace::clear();
-  eventlog::clear();
-  EXPECT_EQ(trace::eventCount(), 0u);
-  EXPECT_EQ(eventlog::eventCount(), 0u);
+  telemetry::clear();
+  EXPECT_EQ(telemetry::recordCount(), 0u);
+}
+
+TEST(TelemetryStress, RecordsComeOutInOneTotalOrder) {
+  // Two threads each open a parent span, a nested child and a sibling of
+  // the child, and emit a numbered line inside the child and inside the
+  // sibling.  Records come out
+  // by start time, then tid, then the order the thread opened or emitted
+  // them, so a parent precedes a child opened in the same microsecond
+  // (it closes, and is written, after the child).
+  TelemetryGuard guard;
+  telemetry::setEnabled(true);
+  constexpr int kRounds = ZEUS_TSAN ? 200 : 1000;
+  static const char* const kOpenOrder[] = {"parent", "child", "sibling"};
+  auto record = [](uint64_t thread) {
+    auto line = [thread](uint64_t i) {
+      eventlog::emit(eventlog::Severity::Debug, "test", "order",
+                     {eventlog::num("t", thread), eventlog::num("i", i)});
+    };
+    for (uint64_t i = 0; i < kRounds; ++i) {
+      ZEUS_TRACE_SPAN("parent", "order");
+      {
+        ZEUS_TRACE_SPAN("child", "order");
+        line(2 * i);
+      }
+      ZEUS_TRACE_SPAN("sibling", "order");
+      line(2 * i + 1);
+    }
+  };
+  std::thread other(record, uint64_t{1});
+  record(0);
+  other.join();
+
+  const std::vector<trace::Event> spans = trace::snapshot();
+  ASSERT_EQ(spans.size(), size_t{2 * 3 * kRounds});
+  std::map<uint32_t, std::vector<trace::Event>> byTid;
+  for (size_t k = 0; k < spans.size(); ++k) {
+    if (k) {
+      const trace::Event& a = spans[k - 1];
+      const trace::Event& b = spans[k];
+      ASSERT_TRUE(a.startUs < b.startUs ||
+                  (a.startUs == b.startUs && a.tid <= b.tid))
+          << "span " << k;
+    }
+    byTid[spans[k].tid].push_back(spans[k]);
+  }
+  ASSERT_EQ(byTid.size(), 2u);
+  size_t sameMicrosecond = 0;
+  for (const auto& [tid, own] : byTid) {
+    for (size_t k = 0; k < own.size(); ++k) {
+      ASSERT_STREQ(own[k].name, kOpenOrder[k % 3])
+          << "tid " << tid << " span " << k;
+      if (k && own[k].startUs == own[k - 1].startUs) ++sameMicrosecond;
+    }
+  }
+  // Without a tie the order above would hold by start time alone.
+  EXPECT_GT(sameMicrosecond, 0u);
+
+  // Each thread's lines come out in emit order, also within one
+  // microsecond.
+  std::istringstream jsonl(eventlog::renderJsonl());
+  std::string line;
+  std::getline(jsonl, line);  // header
+  uint64_t next[2] = {0, 0};
+  while (std::getline(jsonl, line)) {
+    const size_t t = line.find("\"t\": ");
+    const size_t i = line.find("\"i\": ");
+    ASSERT_NE(t, std::string::npos) << line;
+    ASSERT_NE(i, std::string::npos) << line;
+    const uint64_t thread = std::stoull(line.substr(t + 5));
+    ASSERT_LT(thread, 2u) << line;
+    uint64_t& want = next[thread];
+    ASSERT_EQ(std::stoull(line.substr(i + 5)), want) << line;
+    ++want;
+  }
+  EXPECT_EQ(next[0], uint64_t{2 * kRounds});
+  EXPECT_EQ(next[1], uint64_t{2 * kRounds});
+
+  // The order is total, so a second read repeats the first exactly.
+  const std::vector<trace::Event> again = trace::snapshot();
+  ASSERT_EQ(again.size(), spans.size());
+  for (size_t k = 0; k < spans.size(); ++k) {
+    ASSERT_STREQ(again[k].name, spans[k].name) << k;
+    ASSERT_EQ(again[k].startUs, spans[k].startUs) << k;
+    ASSERT_EQ(again[k].durUs, spans[k].durUs) << k;
+    ASSERT_EQ(again[k].tid, spans[k].tid) << k;
+  }
+  EXPECT_EQ(trace::renderChromeJson(), trace::renderChromeJson());
+  EXPECT_EQ(eventlog::renderJsonl(), eventlog::renderJsonl());
 }
 
 TEST(TelemetryStress, ShortLivedThreadsReuseOneSlot) {
@@ -149,8 +254,7 @@ TEST(TelemetryStress, ShortLivedThreadsReuseOneSlot) {
   // instead of allocating a new one per thread — without losing a count,
   // span or line recorded by the threads that have exited.
   TelemetryGuard guard;
-  trace::setEnabled(true);
-  eventlog::setEnabled(true);
+  telemetry::setEnabled(true);
   static metrics::Counter counter("slot-reuse-counter");
   const uint64_t before = counter.value();
   (void)threadslot::local();  // this thread's own slot
@@ -175,12 +279,11 @@ TEST(TelemetryStress, ShortLivedThreadsReuseOneSlot) {
     tids.insert(e.tid);
   }
   EXPECT_EQ(tids.size(), 1u);  // one reused slot, one tid
-  EXPECT_EQ(eventlog::eventCount(), size_t{kThreads});
+  // One span and one line per thread.
+  EXPECT_EQ(telemetry::recordCount(), size_t{2 * kThreads});
 
-  trace::clear();
-  eventlog::clear();
-  EXPECT_EQ(trace::eventCount(), 0u);
-  EXPECT_EQ(eventlog::eventCount(), 0u);
+  telemetry::clear();
+  EXPECT_EQ(telemetry::recordCount(), 0u);
   EXPECT_EQ(counter.value(), before + kThreads);  // clear() keeps counts
 }
 
@@ -259,35 +362,35 @@ TEST(TelemetryStress, FlightRecorderRingVsConcurrentDumps) {
 
 TEST(TraceStress, SpanStraddlingClearRecordsNothing) {
   TelemetryGuard guard;
-  trace::setEnabled(true);
+  telemetry::setEnabled(true);
   {
     ZEUS_TRACE_SPAN("before-clear", "test");
     (void)0;
   }
-  ASSERT_EQ(trace::eventCount(), 1u);
+  ASSERT_EQ(telemetry::recordCount(), 1u);
 
   auto open = std::make_unique<trace::Span>("straddler", "test");
-  trace::clear();
+  telemetry::clear();
   open.reset();  // closes after the clear: must not resurrect
-  EXPECT_EQ(trace::eventCount(), 0u);
+  EXPECT_EQ(telemetry::recordCount(), 0u);
   EXPECT_TRUE(trace::snapshot().empty());
 }
 
 TEST(TraceStress, SpanStraddlingDisableRecordsNothing) {
   TelemetryGuard guard;
-  trace::setEnabled(true);
+  telemetry::setEnabled(true);
   auto open = std::make_unique<trace::Span>("straddler", "test");
-  trace::setEnabled(false);
-  trace::setEnabled(true);  // re-enabling does not revive the span
+  telemetry::setEnabled(false);
+  telemetry::setEnabled(true);  // re-enabling does not revive the span
   open.reset();
-  EXPECT_EQ(trace::eventCount(), 0u);
+  EXPECT_EQ(telemetry::recordCount(), 0u);
 
   // A span opened after the re-enable records normally.
   {
     ZEUS_TRACE_SPAN("after-reenable", "test");
     (void)0;
   }
-  EXPECT_EQ(trace::eventCount(), 1u);
+  EXPECT_EQ(telemetry::recordCount(), 1u);
 }
 
 TEST(TraceStress, ConcurrentEnableDisableClear) {
@@ -300,26 +403,27 @@ TEST(TraceStress, ConcurrentEnableDisableClear) {
                            !stop.load(std::memory_order_relaxed);
            ++n) {
         ZEUS_TRACE_SPAN("toggle-span", "test");
+        eventlog::emit(eventlog::Severity::Debug, "test", "toggle");
       }
     });
   }
   for (int i = 0; i < kObserverIters; ++i) {
-    trace::setEnabled(i % 2 == 0);
-    if (i % 7 == 0) trace::clear();
-    (void)trace::eventCount();
+    telemetry::setEnabled(i % 2 == 0);
+    if (i % 7 == 0) telemetry::clear();
+    (void)telemetry::recordCount();
   }
-  trace::setEnabled(false);
+  telemetry::setEnabled(false);
   stop.store(true);
   for (std::thread& w : writers) w.join();
 }
 
 TEST(TraceStress, PhaseTimingsVsConcurrentClear) {
-  // phaseTimings() aggregates a snapshot of the trace buffers; here it
+  // phaseTimings() aggregates a snapshot of the span records; here it
   // races writers AND a dedicated clear() thread.  The aggregation must
   // never see torn events (name/category stay intact) and must not
   // deadlock against clear's registry+buffer lock order.
   TelemetryGuard guard;
-  trace::setEnabled(true);
+  telemetry::setEnabled(true);
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int t = 0; t < 3; ++t) {
@@ -332,7 +436,7 @@ TEST(TraceStress, PhaseTimingsVsConcurrentClear) {
     });
   }
   std::thread clearer([&stop] {
-    while (!stop.load(std::memory_order_relaxed)) trace::clear();
+    while (!stop.load(std::memory_order_relaxed)) telemetry::clear();
   });
   for (int i = 0; i < kObserverIters; ++i) {
     for (const metrics::PhaseTiming& p : metrics::phaseTimings()) {

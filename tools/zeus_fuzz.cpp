@@ -24,7 +24,9 @@
 #include "src/core/zeus.h"
 #include "src/sim/graph.h"
 #include "src/sim/snapshot.h"
+#include "src/support/eventlog.h"
 #include "src/support/metrics.h"
+#include "src/support/telemetry.h"
 #include "src/support/trace.h"
 
 namespace {
@@ -50,12 +52,13 @@ zeus::Limits fuzzLimits() {
 /// Returns true iff the pipeline behaved: success, or structured
 /// diagnostics — never an exception or a crash.
 bool runOne(const uint8_t* data, size_t size) {
-  // Fuzz with the observability layer live: span recording and per-net
+  // Fuzz with the observability layer live: the recorder and per-net
   // activity profiling run on every input, so the instrumentation paths
   // (including the JSON renderers) get the same crash-free guarantee as
-  // the pipeline itself.  The buffer is cleared per input to bound memory.
-  zeus::trace::clear();
-  zeus::trace::setEnabled(true);
+  // the pipeline itself.  The records are cleared per input to bound
+  // memory.
+  zeus::telemetry::clear();
+  zeus::telemetry::setEnabled(true);
   // Every input also replays the binary checkpoint loaders
   // (src/sim/snapshot.h): truncated, corrupt or adversarial ZSNP bytes
   // must produce a structured error string, never a crash or an OOM.
@@ -104,7 +107,6 @@ bool runOne(const uint8_t* data, size_t size) {
       zeus::Simulation::Options sopts;
       sopts.maxEventsPerCycle = 1u << 22;
       sopts.maxSimMillis = 2000;
-      sopts.usage = comp->usage();
       sopts.profileActivity = true;
       zeus::Simulation sim(*opt.graph, sopts);
       sim.setRandomSeed(0x5eedull);
@@ -121,6 +123,7 @@ bool runOne(const uint8_t* data, size_t size) {
       (void)mr.renderJson();
       (void)mr.renderText();
       (void)zeus::trace::renderChromeJson();
+      (void)zeus::eventlog::renderJsonl();
     }
   }
   return true;
