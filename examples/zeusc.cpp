@@ -65,7 +65,9 @@
 //   --serve-batch <file> run a zeus-serve-request-v1 JSON request file:
 //                        compile each distinct design once, fan the
 //                        requests across the farm, emit zeus-serve-v1
-//   --serve-out <file>   write the serve-batch response there (else stdout)
+//   --serve-out <file>   write the serve-batch response there (else stdout);
+//                        --trace, --metrics and --stats then cover every
+//                        request, with the serve latency histograms
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -356,8 +358,7 @@ int main(int argc, char** argv) {
   // is uncatchable by design: the crash-recovery tests want a power cut.)
   zeus::flightrec::arm(crashDump.c_str());
   // One recorder takes spans and log lines; --log, --trace, --metrics and
-  // --stats each render their own view of it.  Batch-request mode below
-  // renders only the log.
+  // --stats each render their own view of it.
   if (!logOut.empty()) zeus::telemetry::setEnabled(true);
   auto emitLog = [&]() {
     if (logOut.empty()) return;
@@ -382,6 +383,9 @@ int main(int argc, char** argv) {
     if (simCycles >= 0) sopts.defaultCycles = static_cast<uint64_t>(simCycles);
     if (farmSeed >= 0) sopts.defaultSeed = static_cast<uint64_t>(farmSeed);
     sopts.defaultOptLevel = optLevel;
+    if (!traceOut.empty() || !metricsOut.empty() || stats) {
+      zeus::telemetry::setEnabled(true);
+    }
     zeus::ServeStats sstats;
     std::string response = zeus::runServeBatch(ss.str(), sopts, &sstats);
     if (!serveOutFile.empty()) {
@@ -395,6 +399,25 @@ int main(int argc, char** argv) {
                  "hit(s), %zu failure(s)\n",
                  sstats.requests, sstats.compiles, sstats.cacheHits,
                  sstats.failures);
+    // The same views a single-design run writes, over every request: the
+    // phases of all compiles and farm runs, and the serve latencies.
+    zeus::metrics::MetricsReport mreport;
+    mreport.design = serveBatchFile;
+    mreport.phases = zeus::metrics::phaseTimings();
+    mreport.latency = {
+        zeus::histogram::snapshot(sstats.requestUs, "serve.request_us", "us"),
+        zeus::histogram::snapshot(sstats.cacheHitUs, "serve.cache_hit_us",
+                                  "us"),
+        zeus::histogram::snapshot(sstats.cacheMissUs, "serve.cache_miss_us",
+                                  "us")};
+    if (stats) std::printf("%s", mreport.renderText().c_str());
+    if (!traceOut.empty() &&
+        writeFile(traceOut, zeus::trace::renderChromeJson())) {
+      std::printf("wrote %s\n", traceOut.c_str());
+    }
+    if (!metricsOut.empty() && writeFile(metricsOut, mreport.renderJson())) {
+      std::printf("wrote %s\n", metricsOut.c_str());
+    }
     emitLog();
     return sstats.failures == 0 ? 0 : 1;
   }

@@ -1,6 +1,7 @@
 #include "src/core/batch_sim.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "src/sim/snapshot.h"
@@ -10,25 +11,58 @@ namespace zeus {
 namespace {
 
 /// Transposes a 64x64 bit matrix in place: afterwards bit j of m[i] is
-/// what bit i of m[j] was.  Six rounds swap ever smaller off-diagonal
-/// blocks (Hacker's Delight, 7-3): 192 masked word-pair swaps instead of
-/// 4096 single-bit moves.
-void transpose64(std::array<uint64_t, 64>& m) {
+/// what bit i of m[j] was, for every row i < `rows`; the rows past it are
+/// left undefined.  Six rounds swap ever smaller off-diagonal blocks
+/// (Hacker's Delight, 7-3): 192 masked word-pair swaps instead of 4096
+/// single-bit moves.  A round whose blocks are at least as wide as
+/// bit_ceil(rows) only updates its first block, since nothing after it
+/// reads the rest, so a 32-bit port costs about half a full transpose
+/// and a 1-bit port a sixth.  The inner loops run over contiguous rows,
+/// which the compiler vectorizes.
+void transpose64(std::span<uint64_t, 64> m, unsigned rows = 64) {
+  const unsigned block = std::bit_ceil(rows);
   uint64_t mask = 0x00000000FFFFFFFFull;
   for (unsigned j = 32; j != 0; j >>= 1, mask ^= mask << j) {
-    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
-      const uint64_t t = ((m[k] >> j) ^ m[k | j]) & mask;
-      m[k | j] ^= t;
-      m[k] ^= t << j;
+    if (j >= block) {
+      for (unsigned k = 0; k < j; ++k) {
+        m[k] ^= (((m[k] >> j) ^ m[k + j]) & mask) << j;
+      }
+      continue;
+    }
+    for (unsigned b = 0; b < block; b += 2 * j) {
+      for (unsigned k = b; k < b + j; ++k) {
+        const uint64_t t = ((m[k] >> j) ^ m[k + j]) & mask;
+        m[k + j] ^= t;
+        m[k] ^= t << j;
+      }
     }
   }
 }
 
-/// Writes two-valued bits into the lanes of `lanes`: One where `ones`
-/// has a 1, Zero elsewhere; other lanes keep their values.
-inline void writeLanes(LanePlanes& p, uint64_t lanes, uint64_t ones) {
-  p.p0 = (p.p0 & ~lanes) | (lanes & ~ones);
-  p.p1 = (p.p1 & ~lanes) | (lanes & ones);
+/// Rows of port word k that a transpose must produce for a port of
+/// `width` bits.
+unsigned rowsOfWord(size_t width, size_t k) {
+  return static_cast<unsigned>(std::min<size_t>(64, width - 64 * k));
+}
+
+/// Writes plane bits into the lanes of `lanes`; other lanes keep their
+/// values.
+inline void writeLanes(LanePlanes& p, uint64_t lanes, uint64_t p0,
+                       uint64_t p1) {
+  p.p0 = (p.p0 & ~lanes) | (lanes & p0);
+  p.p1 = (p.p1 & ~lanes) | (lanes & p1);
+}
+
+/// True when some dense slot belongs to two different ports.
+bool portsShareSlots(const SimGraph& g) {
+  std::vector<uint32_t> owner(g.denseCount, UINT32_MAX);
+  for (uint32_t p = 0; p < g.portSlots.size(); ++p) {
+    for (uint32_t dn : g.portSlots[p].dense) {
+      if (owner[dn] != UINT32_MAX && owner[dn] != p) return true;
+      owner[dn] = p;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -45,6 +79,9 @@ BatchSimulation::BatchSimulation(const SimGraph& graph, size_t lanes)
   laneMask_ = lanes_ == kMaxLanes ? ~uint64_t{0}
                                   : (uint64_t{1} << lanes_) - 1;
   inputValues_.assign(g_.denseCount, {});
+  staged_.resize(g_.portSlots.size());
+  portsShareSlots_ = portsShareSlots(g_);
+  reads_.resize(g_.portSlots.size());
   regValues_.assign(g_.regNodes.size(),
                     lanesBroadcast(Logic::Undef, ~uint64_t{0}));
   seedDefaults();
@@ -62,6 +99,9 @@ void BatchSimulation::seedDefaults() {
 }
 
 void BatchSimulation::reset() {
+  for (uint32_t index : dirtyPorts_) staged_[index].lanes = 0;
+  dirtyPorts_.clear();
+  ++readEpoch_;
   inputValues_.assign(g_.denseCount, {});
   regValues_.assign(g_.regNodes.size(),
                     lanesBroadcast(Logic::Undef, ~uint64_t{0}));
@@ -71,34 +111,32 @@ void BatchSimulation::reset() {
   evaluated_ = false;
 }
 
-void BatchSimulation::checkLane(size_t lane) const {
-  if (lane >= lanes_) {
-    throw std::invalid_argument("lane " + std::to_string(lane) +
-                                " out of range (batch has " +
-                                std::to_string(lanes_) + " lane(s))");
-  }
+void BatchSimulation::throwLane(size_t lane) const {
+  throw std::invalid_argument("lane " + std::to_string(lane) +
+                              " out of range (batch has " +
+                              std::to_string(lanes_) + " lane(s))");
 }
 
-void BatchSimulation::setInput(size_t lane, const std::string& port,
+void BatchSimulation::setInput(size_t lane, std::string_view port,
                                Logic v) {
   setInput(lane, this->port(port), v);
 }
 
-void BatchSimulation::setInput(size_t lane, const std::string& port,
+void BatchSimulation::setInput(size_t lane, std::string_view port,
                                const std::vector<Logic>& bits) {
   setInput(lane, this->port(port), bits);
 }
 
-void BatchSimulation::setInputUint(size_t lane, const std::string& port,
+void BatchSimulation::setInputUint(size_t lane, std::string_view port,
                                    uint64_t value) {
   setInputUint(lane, this->port(port), value);
 }
 
-void BatchSimulation::setInputAll(const std::string& port, Logic v) {
+void BatchSimulation::setInputAll(std::string_view port, Logic v) {
   setInputAll(this->port(port), v);
 }
 
-void BatchSimulation::clearInput(size_t lane, const std::string& port) {
+void BatchSimulation::clearInput(size_t lane, std::string_view port) {
   clearInput(lane, this->port(port));
 }
 
@@ -106,29 +144,77 @@ void BatchSimulation::setInput(size_t lane, PortHandle port, Logic v) {
   setInput(lane, port, std::span<const Logic>(&v, 1));
 }
 
+uint64_t* BatchSimulation::stage(size_t lane, PortHandle port) {
+  checkLane(lane);
+  const size_t width = g_.slotsOf(port).dense.size();
+  PortStage& st = staged_[port.index];
+  if (st.lanes == 0) {
+    if (portsShareSlots_) flushInputs();
+    if (st.words.empty()) st.words.resize(128 * ((width + 63) / 64));
+    dirtyPorts_.push_back(port.index);
+  }
+  st.lanes |= uint64_t{1} << lane;
+  return st.words.data() + lane;
+}
+
+void BatchSimulation::flushStaged() {
+  for (uint32_t index : dirtyPorts_) {
+    PortStage& st = staged_[index];
+    const std::vector<uint32_t>& slots = g_.portSlots[index].dense;
+    // Lanes staged with only 0s and 1s have p0 = ~p1, so their plane 0
+    // is never transposed: one transpose per 64 bits serves them.
+    const uint64_t mixed = st.lanes & st.mixed;
+    for (size_t k = 0; 64 * k < slots.size(); ++k) {
+      // After the transposes, row i of each block holds bit 64k + i of
+      // every lane.
+      const std::span<uint64_t, 64> b0(st.words.data() + 128 * k, 64);
+      const std::span<uint64_t, 64> b1(st.words.data() + 128 * k + 64, 64);
+      const unsigned rows = rowsOfWord(slots.size(), k);
+      transpose64(b1, rows);
+      if (mixed) transpose64(b0, rows);
+      for (unsigned i = 0; i < rows; ++i) {
+        const uint64_t p0 = (~b1[i] & ~mixed) | (b0[i] & mixed);
+        writeLanes(inputValues_[slots[64 * k + i]], st.lanes, p0, b1[i]);
+      }
+    }
+    st.lanes = 0;
+    st.mixed = 0;
+  }
+  dirtyPorts_.clear();
+}
+
 void BatchSimulation::setInput(size_t lane, PortHandle port,
                                std::span<const Logic> bits) {
-  checkLane(lane);
   g_.checkWidth(port, bits.size());
-  const std::vector<uint32_t>& slots = g_.slotsOf(port).dense;
-  for (size_t i = 0; i < bits.size(); ++i) {
-    laneSet(inputValues_[slots[i]], static_cast<uint32_t>(lane), bits[i]);
+  uint64_t* s = stage(lane, port);
+  // Zero and One have exactly one plane bit set; UNDEF and NOINFL do not.
+  uint64_t twoValued = ~uint64_t{0};
+  for (size_t k = 0; 64 * k < bits.size(); ++k, s += 128) {
+    const unsigned rows = rowsOfWord(bits.size(), k);
+    uint64_t b0 = 0, b1 = 0;
+    for (unsigned i = 0; i < rows; ++i) {
+      b0 |= planeBit0(bits[64 * k + i]) << i;
+      b1 |= planeBit1(bits[64 * k + i]) << i;
+    }
+    twoValued &= b0 ^ b1 ^ (~uint64_t{0} << (rows - 1) << 1);
+    s[0] = b0;
+    s[64] = b1;
   }
+  setMixed(lane, port, ~twoValued != 0);
 }
 
 void BatchSimulation::setInputUint(size_t lane, PortHandle port,
                                    uint64_t value) {
-  checkLane(lane);
-  const std::vector<uint32_t>& slots = g_.slotsOf(port).dense;
-  const uint64_t bit = uint64_t{1} << lane;
-  for (size_t i = 0; i < slots.size(); ++i, value >>= 1) {
-    // Ports wider than 64 bits get zeros above bit 63, as `value` has
-    // been shifted empty by then.
-    writeLanes(inputValues_[slots[i]], bit, 0 - (value & 1));
-  }
+  uint64_t* s = stage(lane, port);
+  const size_t words = staged_[port.index].words.size() / 128;
+  // Only plane 1 is staged: plane 0 of a two-valued lane is its
+  // complement.  Ports wider than 64 bits get zeros above bit 63.
+  for (size_t k = 0; k < words; ++k, s += 128, value = 0) s[64] = value;
+  setMixed(lane, port, false);
 }
 
 void BatchSimulation::setInputAll(PortHandle port, Logic v) {
+  flushInputs();
   for (uint32_t dn : g_.slotsOf(port).dense) {
     inputValues_[dn] = lanesBroadcast(v, laneMask_);
   }
@@ -137,6 +223,7 @@ void BatchSimulation::setInputAll(PortHandle port, Logic v) {
 void BatchSimulation::setInputAll(PortHandle port,
                                   std::span<const Logic> bits) {
   g_.checkWidth(port, bits.size());
+  flushInputs();
   const std::vector<uint32_t>& slots = g_.slotsOf(port).dense;
   for (size_t i = 0; i < bits.size(); ++i) {
     inputValues_[slots[i]] = lanesBroadcast(bits[i], laneMask_);
@@ -144,17 +231,16 @@ void BatchSimulation::setInputAll(PortHandle port,
 }
 
 void BatchSimulation::clearInput(size_t lane, PortHandle port) {
-  checkLane(lane);
-  const uint64_t keep = ~(uint64_t{1} << lane);
-  for (uint32_t dn : g_.slotsOf(port).dense) {
-    // A cleared lane carries NOINFL = (0,0): no contribution.
-    inputValues_[dn].p0 &= keep;
-    inputValues_[dn].p1 &= keep;
-  }
+  uint64_t* s = stage(lane, port);
+  const size_t words = staged_[port.index].words.size() / 128;
+  // A cleared lane carries NOINFL = (0,0): no contribution.
+  for (size_t k = 0; k < words; ++k, s += 128) s[0] = s[64] = 0;
+  setMixed(lane, port, true);
 }
 
 void BatchSimulation::setInputUintLanes(PortHandle port,
                                         std::span<const uint64_t> values) {
+  flushInputs();
   const std::vector<uint32_t>& slots = g_.slotsOf(port).dense;
   const size_t words = (slots.size() + 63) / 64;  // per lane
   if (values.size() != lanes_ * words) {
@@ -169,14 +255,18 @@ void BatchSimulation::setInputUintLanes(PortHandle port,
     for (size_t lane = 0; lane < lanes_; ++lane) {
       ones[lane] = values[lane * words + k];
     }
-    transpose64(ones);  // ones[i] bit L = bit 64k + i of lane L's value
-    const size_t end = std::min(slots.size(), 64 * k + 64);
-    for (size_t i = 64 * k; i < end; ++i) {
-      writeLanes(inputValues_[slots[i]], laneMask_, ones[i % 64]);
+    const unsigned rows = rowsOfWord(slots.size(), k);
+    transpose64(ones, rows);  // ones[i] bit L = bit 64k + i of lane L's value
+    for (unsigned i = 0; i < rows; ++i) {
+      writeLanes(inputValues_[slots[64 * k + i]], laneMask_, ~ones[i],
+                 ones[i]);
     }
   }
 }
 
+// setRset needs no flush: no port shares RSET's slot (the checker lets a
+// boolean net alias only an instance's IN or a formal OUT parameter, and
+// never another boolean), so staged port writes never touch it.
 void BatchSimulation::setRset(bool active) {
   inputValues_[g_.dense(g_.design->rset)] =
       lanesBroadcast(logicFromBool(active), ~uint64_t{0});
@@ -245,8 +335,9 @@ uint64_t BatchSimulation::designHash() const {
   return *designHash_;
 }
 
-SimSnapshot BatchSimulation::saveSnapshot(size_t lane) const {
+SimSnapshot BatchSimulation::saveSnapshot(size_t lane) {
   checkLane(lane);
+  flushInputs();
   SimSnapshot s;
   s.designHash = designHash();
   s.cycle = cycle_;
@@ -283,6 +374,7 @@ void BatchSimulation::restoreSnapshot(size_t lane, const SimSnapshot& snap) {
         "snapshot state sizes do not match this design");
   }
   restoreRegisters(lane, snap.regValues);
+  flushInputs();
   for (size_t i = 0; i < g_.denseCount; ++i) {
     laneSet(inputValues_[i], static_cast<uint32_t>(lane),
             snap.inputSet[i] ? snap.inputValues[i] : Logic::NoInfl);
@@ -295,6 +387,7 @@ void BatchSimulation::restoreSnapshot(size_t lane, const SimSnapshot& snap) {
     errors_.push_back(std::move(tagged));
   }
   evaluated_ = false;
+  ++readEpoch_;
 }
 
 std::vector<Logic> BatchSimulation::saveRegisters(size_t lane) const {
@@ -319,6 +412,7 @@ void BatchSimulation::restoreRegisters(size_t lane,
 }
 
 void BatchSimulation::runCycle(bool latch) {
+  flushInputs();
   BatchSeeds seeds;
   seeds.inputValues = &inputValues_;
   seeds.regValues = &regValues_;
@@ -330,6 +424,7 @@ void BatchSimulation::runCycle(bool latch) {
   }
   eval_.evaluate(seeds, result_);
   evaluated_ = true;
+  ++readEpoch_;
 
   const Netlist& nl = g_.design->netlist;
   const size_t firstError = errors_.size();
@@ -397,19 +492,19 @@ Logic BatchSimulation::netValueByName(size_t lane,
 }
 
 std::vector<Logic> BatchSimulation::outputBits(
-    size_t lane, const std::string& port) const {
+    size_t lane, std::string_view port) const {
   const PortHandle h = this->port(port);
   std::vector<Logic> out(h.width);
   outputBits(lane, h, out);
   return out;
 }
 
-Logic BatchSimulation::output(size_t lane, const std::string& port) const {
+Logic BatchSimulation::output(size_t lane, std::string_view port) const {
   return output(lane, this->port(port));
 }
 
 std::optional<uint64_t> BatchSimulation::outputUint(
-    size_t lane, const std::string& port) const {
+    size_t lane, std::string_view port) const {
   return outputUint(lane, this->port(port));
 }
 
@@ -444,26 +539,40 @@ Logic BatchSimulation::output(size_t lane, PortHandle port) const {
   return observe(ps, 0, lane);
 }
 
+const BatchSimulation::PortReads& BatchSimulation::reads(
+    PortHandle port) const {
+  const std::vector<uint32_t>& slots = g_.slotsOf(port).dense;
+  PortReads& r = reads_[port.index];
+  if (r.epoch == readEpoch_) return r;
+  r.epoch = readEpoch_;
+  r.values.assign(64, 0);
+  if (!evaluated_) {
+    r.defined = slots.empty() ? laneMask_ : 0;  // every bit reads UNDEF
+    return r;
+  }
+  uint64_t defined = laneMask_;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const LanePlanes& p = result_.netValues[slots[i]];
+    // Defined lanes have exactly one plane set: (1,1) = UNDEF and
+    // (0,0) = NOINFL are undefined.  Above bit 63 only a 0 fits.
+    defined &= p.p0 ^ p.p1;
+    if (i < 64) r.values[i] = p.p1;
+    else defined &= ~p.p1;
+  }
+  transpose64(std::span<uint64_t, 64>(r.values.data(), 64));
+  for (size_t lane = 0; lane < lanes_; ++lane) {
+    r.values[lane] &= 0 - ((defined >> lane) & 1);
+  }
+  r.defined = defined;
+  return r;
+}
+
 std::optional<uint64_t> BatchSimulation::outputUint(size_t lane,
                                                     PortHandle port) const {
   checkLane(lane);
-  const std::vector<uint32_t>& slots = g_.slotsOf(port).dense;
-  if (!evaluated_) {
-    if (slots.empty()) return 0;
-    return std::nullopt;  // every bit reads UNDEF
-  }
-  // Defined lanes have exactly one plane set: (1,1) = UNDEF and
-  // (0,0) = NOINFL are undefined.  Above bit 63 only a 0 fits.
-  uint64_t defined = ~uint64_t{0};
-  uint64_t value = 0;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    const LanePlanes& p = result_.netValues[slots[i]];
-    defined &= p.p0 ^ p.p1;
-    if (i < 64) value |= ((p.p1 >> lane) & 1) << i;
-    else defined &= ~p.p1;
-  }
-  if (!((defined >> lane) & 1)) return std::nullopt;
-  return value;
+  const PortReads& r = reads(port);
+  if (!((r.defined >> lane) & 1)) return std::nullopt;
+  return r.values[lane];
 }
 
 uint64_t BatchSimulation::outputUintLanes(PortHandle port,
@@ -473,26 +582,9 @@ uint64_t BatchSimulation::outputUintLanes(PortHandle port,
                                 std::to_string(lanes_) + "), got " +
                                 std::to_string(values.size()));
   }
-  const std::vector<uint32_t>& slots = g_.slotsOf(port).dense;
-  if (!evaluated_) {
-    std::fill(values.begin(), values.end(), 0);
-    return slots.empty() ? laneMask_ : 0;  // every bit reads UNDEF
-  }
-  std::array<uint64_t, 64> ones{};
-  uint64_t defined = laneMask_;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    const LanePlanes& p = result_.netValues[slots[i]];
-    // Defined lanes have exactly one plane set; above bit 63 only a 0
-    // fits.
-    defined &= p.p0 ^ p.p1;
-    if (i < 64) ones[i] = p.p1;
-    else defined &= ~p.p1;
-  }
-  transpose64(ones);  // ones[L] = lane L's value
-  for (size_t lane = 0; lane < values.size(); ++lane) {
-    values[lane] = ones[lane] & (0 - ((defined >> lane) & 1));
-  }
-  return defined;
+  const PortReads& r = reads(port);
+  std::copy_n(r.values.begin(), lanes_, values.begin());
+  return r.defined;
 }
 
 metrics::SimCounters BatchSimulation::metricsCounters() const {

@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/ast/ast.h"
@@ -100,13 +101,13 @@ struct Design {
   /// (different dense-net numbering) can never be cross-restored.
   uint64_t optFingerprint = 0;
 
-  [[nodiscard]] const Port* findPort(const std::string& name) const {
+  /// Takes a string_view so a literal name builds no std::string:
+  /// string-keyed port I/O looks a name up on every call.
+  [[nodiscard]] const Port* findPort(std::string_view name) const {
     for (const Port& p : ports) {
-      // Length and first byte rule out most ports without a memcmp call
-      // (both strings are NUL-terminated, so [0] is safe when empty);
-      // string-keyed port I/O looks a name up on every call.
-      if (p.name.size() == name.size() && p.name[0] == name[0] &&
-          p.name == name)
+      // Length and first byte rule out most ports without a memcmp call.
+      if (p.name.size() == name.size() &&
+          (name.empty() || p.name[0] == name[0]) && p.name == name)
         return &p;
     }
     return nullptr;

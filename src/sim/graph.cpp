@@ -198,20 +198,19 @@ SimGraph levelizeGraph(const Design& design, DiagnosticEngine& diags) {
   return g;
 }
 
-PortHandle SimGraph::port(const std::string& name) const {
+PortHandle SimGraph::port(std::string_view name) const {
   const Port* p = design->findPort(name);
-  if (!p) throw std::invalid_argument("no port named '" + name + "'");
+  if (!p) {
+    throw std::invalid_argument("no port named '" + std::string(name) + "'");
+  }
   const size_t i = static_cast<size_t>(p - design->ports.data());
   return {this, static_cast<uint32_t>(i),
           static_cast<uint32_t>(portSlots[i].dense.size())};
 }
 
-const SimGraph::PortSlots& SimGraph::slotsOf(PortHandle h) const {
-  if (h.graph != this || h.index >= portSlots.size()) {
-    throw std::invalid_argument(
-        "port handle was not resolved on this design's graph");
-  }
-  return portSlots[h.index];
+void SimGraph::throwForeignHandle() {
+  throw std::invalid_argument(
+      "port handle was not resolved on this design's graph");
 }
 
 void SimGraph::checkWidth(PortHandle h, size_t bits) const {

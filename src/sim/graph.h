@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/elab/design.h"
@@ -165,15 +166,20 @@ struct SimGraph {
 
   /// Resolves a port by name.  Throws std::invalid_argument when the
   /// design has no such port.
-  [[nodiscard]] PortHandle port(const std::string& name) const;
+  [[nodiscard]] PortHandle port(std::string_view name) const;
   /// The slots behind `h`.  Throws std::invalid_argument when `h` was not
-  /// resolved on this graph.
-  [[nodiscard]] const PortSlots& slotsOf(PortHandle h) const;
+  /// resolved on this graph.  Inline: every handle call of the port I/O
+  /// goes through it.
+  [[nodiscard]] const PortSlots& slotsOf(PortHandle h) const {
+    if (h.graph != this || h.index >= portSlots.size()) throwForeignHandle();
+    return portSlots[h.index];
+  }
   /// Throws std::invalid_argument unless `h`'s port is `bits` wide.
   void checkWidth(PortHandle h, size_t bits) const;
   [[nodiscard]] const std::string& portName(PortHandle h) const {
     return design->ports[h.index].name;
   }
+  [[noreturn]] static void throwForeignHandle();  ///< slotsOf's error
 };
 
 /// Builds the graph and, when it is acyclic, lowers its tape.  Reports

@@ -72,20 +72,20 @@ void Simulation::profileCycle() {
   ++profiledCycles_;
 }
 
-void Simulation::setInput(const std::string& port, Logic v) {
+void Simulation::setInput(std::string_view port, Logic v) {
   setInput(this->port(port), v);
 }
 
-void Simulation::setInput(const std::string& port,
+void Simulation::setInput(std::string_view port,
                           const std::vector<Logic>& bits) {
   setInput(this->port(port), bits);
 }
 
-void Simulation::setInputUint(const std::string& port, uint64_t value) {
+void Simulation::setInputUint(std::string_view port, uint64_t value) {
   setInputUint(this->port(port), value);
 }
 
-void Simulation::clearInput(const std::string& port) {
+void Simulation::clearInput(std::string_view port) {
   clearInput(this->port(port));
 }
 
@@ -339,19 +339,19 @@ Logic Simulation::netValueByName(const std::string& name) const {
   return netValue(id);
 }
 
-std::vector<Logic> Simulation::outputBits(const std::string& port) const {
+std::vector<Logic> Simulation::outputBits(std::string_view port) const {
   const PortHandle h = this->port(port);
   std::vector<Logic> out(h.width);
   outputBits(h, out);
   return out;
 }
 
-Logic Simulation::output(const std::string& port) const {
+Logic Simulation::output(std::string_view port) const {
   return output(this->port(port));
 }
 
 std::optional<uint64_t> Simulation::outputUint(
-    const std::string& port) const {
+    std::string_view port) const {
   return outputUint(this->port(port));
 }
 

@@ -13,6 +13,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/sim/fault.h"
@@ -97,18 +98,18 @@ class Simulation {
 
   /// Resolves a port once for the handle overloads below (see
   /// PortHandle).  Throws std::invalid_argument on an unknown name.
-  [[nodiscard]] PortHandle port(const std::string& name) const {
+  [[nodiscard]] PortHandle port(std::string_view name) const {
     return g_.port(name);
   }
 
   // -- driving inputs (persist until changed) --
   // Each string overload resolves the port and forwards to its handle
   // overload, which neither looks the name up nor allocates.
-  void setInput(const std::string& port, Logic v);
-  void setInput(const std::string& port, const std::vector<Logic>& bits);
+  void setInput(std::string_view port, Logic v);
+  void setInput(std::string_view port, const std::vector<Logic>& bits);
   /// Sets an array port from an unsigned value; port index 1 is the LSB.
-  void setInputUint(const std::string& port, uint64_t value);
-  void clearInput(const std::string& port);
+  void setInputUint(std::string_view port, uint64_t value);
+  void clearInput(std::string_view port);
   void setInput(PortHandle port, Logic v);
   void setInput(PortHandle port, std::span<const Logic> bits);
   void setInputUint(PortHandle port, uint64_t value);
@@ -169,12 +170,12 @@ class Simulation {
   void evaluateOnly();
 
   // -- observing (string overloads resolve and forward) --
-  [[nodiscard]] Logic output(const std::string& port) const;
-  [[nodiscard]] std::vector<Logic> outputBits(const std::string& port) const;
+  [[nodiscard]] Logic output(std::string_view port) const;
+  [[nodiscard]] std::vector<Logic> outputBits(std::string_view port) const;
   /// Value of an array port as an unsigned number; nullopt when any bit is
   /// UNDEF or NOINFL, or when the value does not fit 64 bits.
   [[nodiscard]] std::optional<uint64_t> outputUint(
-      const std::string& port) const;
+      std::string_view port) const;
   [[nodiscard]] Logic output(PortHandle port) const;
   /// Fills `out` (out.size() == the port width) with the port's bits.
   void outputBits(PortHandle port, std::span<Logic> out) const;

@@ -11,7 +11,8 @@
 #   * the --metrics report carries evaluator "farm" with lanes 96.
 # Then one --serve-batch request file covering an example, an inline
 # source and a deliberately bad request must produce a zeus-serve-v1
-# response with exactly one failure.
+# response with exactly one failure, and its --trace and --metrics files
+# must hold the batch's compile and farm spans and serve latencies.
 cmake_minimum_required(VERSION 3.19)  # string(JSON ...)
 
 if(NOT DEFINED ZEUSC)
@@ -101,8 +102,12 @@ file(WRITE ${reqfile} [=[
   {"id": "broken", "example": "no-such-entry"}
 ]}
 ]=])
+set(tracefile "${WORKDIR}/farm_serve_trace.json")
+set(metricsfile "${WORKDIR}/farm_serve_metrics.json")
+file(REMOVE ${tracefile} ${metricsfile})
 execute_process(COMMAND ${ZEUSC} --serve-batch ${reqfile}
                         --serve-out ${respfile}
+                        --trace ${tracefile} --metrics ${metricsfile}
                 OUTPUT_VARIABLE out
                 ERROR_VARIABLE err
                 RESULT_VARIABLE rc)
@@ -136,6 +141,42 @@ endif()
 string(JSON ok2 GET "${resp}" "results" 2 "ok")
 if(NOT ok2 STREQUAL "OFF")
   message(FATAL_ERROR "broken request reported ok=${ok2}")
+endif()
+
+# --trace and --metrics cover the whole batch: the one compile's phases,
+# both farm runs and the serve latency histograms.
+foreach(f IN ITEMS ${tracefile} ${metricsfile})
+  if(NOT EXISTS ${f})
+    message(FATAL_ERROR "serve-batch did not write ${f}\n${out}")
+  endif()
+endforeach()
+file(READ ${tracefile} trace)
+string(JSON nevents LENGTH "${trace}" "traceEvents")
+set(tracenames "")
+math(EXPR last "${nevents} - 1")
+foreach(i RANGE ${last})
+  string(JSON ev GET "${trace}" "traceEvents" ${i} "name")
+  list(APPEND tracenames "${ev}")
+endforeach()
+foreach(span IN ITEMS serve-batch serve-compile elab farm-run)
+  if(NOT span IN_LIST tracenames)
+    message(FATAL_ERROR "serve-batch trace has no '${span}' span")
+  endif()
+endforeach()
+file(READ ${metricsfile} metrics)
+string(JSON mschema GET "${metrics}" "zeus-metrics")
+if(NOT mschema EQUAL 1)
+  message(FATAL_ERROR "serve-batch metrics schema ${mschema}")
+endif()
+string(JSON nphases LENGTH "${metrics}" "compile" "phases")
+if(nphases LESS 1)
+  message(FATAL_ERROR "serve-batch metrics carry no phases")
+endif()
+string(JSON nserved GET "${metrics}" "latency" "serve.request_us" "count")
+string(JSON nmisses GET "${metrics}" "latency" "serve.cache_miss_us" "count")
+if(NOT nserved EQUAL 3 OR NOT nmisses EQUAL 1)
+  message(FATAL_ERROR "serve-batch metrics latency counts: "
+                      "requests=${nserved} misses=${nmisses}")
 endif()
 
 message(STATUS "farm_corpus: ${count} corpus entries + serve-batch validated")
