@@ -42,6 +42,16 @@ void foldChecksum(uint64_t& h, Logic v) {
   h = (h ^ (static_cast<uint64_t>(v) + 1)) * kFnvPrime;
 }
 
+/// The cycle-independent half of farmStimulusSeed, computed once per lane.
+uint64_t stimulusLaneBase(uint64_t rootSeed, uint64_t lane) {
+  return splitmix(rootSeed ^ ((lane + 1) * kGolden));
+}
+
+uint64_t stimulusSeedOf(uint64_t laneBase, uint64_t cycle) {
+  const uint64_t s = splitmix(laneBase ^ ((cycle + 1) * 0xBF58476D1CE4E5B9ull));
+  return s ? s : 1;
+}
+
 /// Canonical farm error order: (cycle, lane, net), then code for the
 /// (unlikely) case of two distinct faults on one lane-net-cycle.
 void sortCanonical(std::vector<SimError>& errors) {
@@ -71,9 +81,7 @@ uint64_t farmLaneRngSeed(uint64_t rootSeed, uint64_t lane) {
 }
 
 uint64_t farmStimulusSeed(uint64_t rootSeed, uint64_t lane, uint64_t cycle) {
-  uint64_t s = splitmix(splitmix(rootSeed ^ ((lane + 1) * kGolden)) ^
-                        ((cycle + 1) * 0xBF58476D1CE4E5B9ull));
-  return s ? s : 1;
+  return stimulusSeedOf(stimulusLaneBase(rootSeed, lane), cycle);
 }
 
 uint64_t FarmReport::mergedChecksum() const {
@@ -171,12 +179,21 @@ FarmReport runFarm(const SimGraph& graph, const FarmOptions& opts,
         batch.setRandomSeed(l, farmLaneRngSeed(opts.seed, first + l));
       }
     }
-    std::vector<uint64_t> streams(n);
+    std::vector<uint64_t> laneBases(n), streams(n);
+    for (size_t l = 0; l < n; ++l) {
+      laneBases[l] = stimulusLaneBase(opts.seed, first + l);
+    }
     std::vector<uint64_t> words;  // one port's lane words
+    std::vector<LanePlanes> observed(outputs.size());
+    // The block folds into its own copy of its lanes' checksums and
+    // stores them back once: neighbouring blocks' lanes can share a cache
+    // line of report.checksums, and the threads would trade it per fold.
+    std::vector<uint64_t> sums(report.checksums.begin() + first,
+                               report.checksums.begin() + first + n);
     for (uint64_t c = startCycle; c < opts.cycles; ++c) {
       batch.setRset(c == 0);  // cycle 0 is the reset pulse
       for (size_t l = 0; l < n; ++l) {
-        streams[l] = farmStimulusSeed(opts.seed, first + l, c);
+        streams[l] = stimulusSeedOf(laneBases[l], c);
       }
       for (const PortHandle& p : inputs) {
         const size_t perLane = (p.width + 63) / 64;
@@ -188,21 +205,25 @@ FarmReport runFarm(const SimGraph& graph, const FarmOptions& opts,
       }
       batch.step(1);
       // Each lane folds the outputs in the same order as the oracle.
-      for (const Observable& obs : outputs) {
-        const LanePlanes v = batch.lanePlanes(obs.net);
-        for (size_t l = 0; l < n; ++l) {
-          foldChecksum(report.checksums[first + l],
-                       laneValue(v, static_cast<uint32_t>(l)));
+      for (size_t o = 0; o < outputs.size(); ++o) {
+        observed[o] = batch.lanePlanes(outputs[o].net);
+      }
+      for (size_t l = 0; l < n; ++l) {
+        uint64_t h = sums[l];
+        for (const LanePlanes& v : observed) {
+          foldChecksum(h, laneValue(v, static_cast<uint32_t>(l)));
         }
+        sums[l] = h;
       }
       if (checkpointing && c + 1 == opts.checkpointAtCycle) {
         checkpointStats[b] = batch.stats();
         for (size_t l = 0; l < n; ++l) {
           checkpointLanes[first + l] = batch.saveSnapshot(l);
-          checkpointSums[first + l] = report.checksums[first + l];
+          checkpointSums[first + l] = sums[l];
         }
       }
     }
+    std::copy(sums.begin(), sums.end(), report.checksums.begin() + first);
     for (size_t l = 0; l < n; ++l) {
       report.rngStates[first + l] = batch.randomState(l);
     }
