@@ -152,7 +152,8 @@ class Mirror {
           const Logic v = kLogic[rng_() % 4];
           if (coin()) batch_.setInputAll(p.name, v);
           else batch_.setInputAll(batch_.port(p.name), v);
-          for (auto& s : ref_) s->setInput(p.name, std::vector(p.nets.size(), v));
+          const std::vector<Logic> all(p.nets.size(), v);
+          for (auto& s : ref_) s->setInput(p.name, all);
         } else {
           const std::vector<Logic> v = bits(p.nets.size());
           batch_.setInputAll(batch_.port(p.name), v);
